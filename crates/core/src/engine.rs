@@ -83,7 +83,7 @@ use crate::probe::{
 use crate::scoreboard::Scoreboard;
 use crate::select::{compare, deciding_tier, DecidingTier, EdgeKey};
 use crate::shard::ShardMap;
-use crate::tentative::tentative_length_um;
+use crate::tentative::{tentative_length_um, HypKernel, HypPath};
 
 /// Per-net cache of hypothetical wire states, valid only while the
 /// owning graph's generation matches `stamp`.
@@ -91,6 +91,12 @@ use crate::tentative::tentative_length_um;
 struct HypCache {
     stamp: u64,
     slots: Vec<Option<HypWire>>,
+    /// Base shortest-path tree of the `stamp` generation, built on its
+    /// first miss and dropped at the end of each scan: a scan keys
+    /// every deletable edge, so the generation misses no more and the
+    /// tree would only hold memory. Boxed so the per-net state stays
+    /// small while no kernel is live.
+    kernel: Option<Box<HypKernel>>,
 }
 
 /// Per-net memo of the delay prefix (`C_d`, `Gl`, `LD`) of an edge's
@@ -127,6 +133,9 @@ struct ScanCounters {
     key_evals: u64,
     hyp_hits: u64,
     hyp_misses: u64,
+    hyp_base_hits: u64,
+    hyp_subtree: u64,
+    hyp_fallbacks: u64,
     memo_hits: u64,
     memo_misses: u64,
     window_queries: u64,
@@ -141,6 +150,9 @@ impl ScanCounters {
         probe.count(Counter::KeyEval, self.key_evals);
         probe.count(Counter::HypCacheHit, self.hyp_hits);
         probe.count(Counter::HypCacheMiss, self.hyp_misses);
+        probe.count(Counter::HypBaseHit, self.hyp_base_hits);
+        probe.count(Counter::HypSubtree, self.hyp_subtree);
+        probe.count(Counter::HypFallback, self.hyp_fallbacks);
         probe.count(Counter::DelayMemoHit, self.memo_hits);
         probe.count(Counter::DelayMemoMiss, self.memo_misses);
         probe.count(Counter::DensityWindowQuery, self.window_queries);
@@ -149,7 +161,8 @@ impl ScanCounters {
 }
 
 /// Hypothetical wire state if `e` of `net` were deleted (cached until
-/// the graph's generation moves).
+/// the graph's generation moves). A miss asks the generation's
+/// [`HypKernel`], which re-runs Dijkstra only below `e`.
 fn hyp_for(
     g: &RoutingGraph,
     sta: &Sta,
@@ -163,14 +176,23 @@ fn hyp_for(
         cache.slots.clear();
         cache.slots.resize(g.edges().len(), None);
         cache.stamp = gen;
+        cache.kernel = None;
     }
     if let Some(h) = cache.slots[e as usize] {
         c.hyp_hits += 1;
         return h;
     }
     c.hyp_misses += 1;
-    let len = tentative_length_um(g, Some(e))
-        .expect("§3.2 invariant: deleting a non-bridge edge keeps the net connected");
+    let (len, path) = cache
+        .kernel
+        .get_or_insert_with(|| Box::new(HypKernel::build(g)))
+        .length_without(g, e);
+    match path {
+        HypPath::Base => c.hyp_base_hits += 1,
+        HypPath::Subtree => c.hyp_subtree += 1,
+        HypPath::Fallback => c.hyp_fallbacks += 1,
+    }
+    let len = len.expect("§3.2 invariant: deleting a non-bridge edge keeps the net connected");
     let (cl_ff, rc_ps) = sta.lengths().wire_terms_at(net, len);
     let h = HypWire {
         length_um: len,
@@ -305,6 +327,7 @@ fn scan_champion(
             best = Some(key);
         }
     }
+    state.hyp.kernel = None;
     best
 }
 
@@ -393,6 +416,7 @@ fn scan_raw_keys(
             }
         }
     }
+    state.hyp.kernel = None;
     out
 }
 
@@ -766,8 +790,10 @@ impl<P: Probe> Engine<P> {
     }
 
     /// Recomputes the density profile and every memoized net length
-    /// from scratch and compares them against the incremental state.
-    /// Returns the number of comparisons performed.
+    /// from scratch and compares them against the incremental state;
+    /// under [`VerifyLevel::Phases`] / [`VerifyLevel::Steps`] also
+    /// checks every hypothetical length, exactly. Returns the
+    /// number of comparisons performed.
     ///
     /// # Panics
     ///
@@ -812,6 +838,48 @@ impl<P: Probe> Engine<P> {
                 "self-audit: memoized length of net {i} diverged: \
                  incremental {got} um, from-scratch {want} um"
             );
+        }
+        if self.verify.at_phases() {
+            checks += self.audit_hyp_lengths();
+        }
+        checks
+    }
+
+    /// Compares the hypothetical length of every deletable edge of every
+    /// constrained net with the full Dijkstra, bit for bit: the cached
+    /// slot where the current generation holds one, else a fresh
+    /// [`HypKernel`] answer. Returns the number of edges compared — a
+    /// function of the graph state alone, so it agrees across selection
+    /// strategies, threads and resumes even though cache contents do
+    /// not. Graphs are trees at phase boundaries, so only the mid-loop
+    /// audits of [`VerifyLevel::Steps`] find edges to compare.
+    fn audit_hyp_lengths(&self) -> u64 {
+        let mut checks = 0u64;
+        for (i, (g, state)) in self.graphs.iter().zip(&self.scan).enumerate() {
+            if self.sta.constraints_of_net(NetId::new(i)).is_empty() {
+                continue;
+            }
+            let cache = &state.hyp;
+            let current = cache.stamp == g.generation() && cache.slots.len() == g.edges().len();
+            let mut fresh: Option<HypKernel> = None;
+            for e in g.non_bridge_edges() {
+                let got = match cache.slots[..].get(e as usize).copied().flatten() {
+                    Some(h) if current => Some(h.length_um),
+                    _ => {
+                        fresh
+                            .get_or_insert_with(|| HypKernel::build(g))
+                            .length_without(g, e)
+                            .0
+                    }
+                };
+                let want = tentative_length_um(g, Some(e));
+                checks += 1;
+                assert!(
+                    got.map(f64::to_bits) == want.map(f64::to_bits),
+                    "self-audit: hypothetical length of net {i} without edge {e} diverged: \
+                     kernel {got:?} um, full Dijkstra {want:?} um"
+                );
+            }
         }
         checks
     }

@@ -393,11 +393,21 @@ pub enum Counter {
     /// is exactly why deadline firings are a counter and not a
     /// [`TraceEvent`].
     DeadlineStop,
+    /// Hypothetical-wire misses answered by the base tree's length
+    /// (kernel path 1: the skipped edge moves no terminal path).
+    HypBaseHit,
+    /// Hypothetical-wire misses answered by a Dijkstra over the base
+    /// subtree below the skipped edge (kernel path 2).
+    HypSubtree,
+    /// Hypothetical-wire misses the kernel sent to the full Dijkstra
+    /// (path 3: an order-ambiguous zero-length tie). The three kernel
+    /// counters sum to `hyp_cache_misses`.
+    HypFallback,
 }
 
 impl Counter {
     /// Number of counters (array dimension).
-    pub const COUNT: usize = 18;
+    pub const COUNT: usize = 21;
 
     /// Every counter, in declaration order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -419,6 +429,9 @@ impl Counter {
         Counter::ParBatch,
         Counter::ShardRebuild,
         Counter::DeadlineStop,
+        Counter::HypBaseHit,
+        Counter::HypSubtree,
+        Counter::HypFallback,
     ];
 
     /// Dense index into counter arrays.
@@ -442,6 +455,9 @@ impl Counter {
             Counter::ParBatch => 15,
             Counter::ShardRebuild => 16,
             Counter::DeadlineStop => 17,
+            Counter::HypBaseHit => 18,
+            Counter::HypSubtree => 19,
+            Counter::HypFallback => 20,
         }
     }
 
@@ -466,6 +482,9 @@ impl Counter {
             Counter::ParBatch => "par_batches",
             Counter::ShardRebuild => "shard_rebuilds",
             Counter::DeadlineStop => "deadline_stops",
+            Counter::HypBaseHit => "hyp_base_hits",
+            Counter::HypSubtree => "hyp_subtree",
+            Counter::HypFallback => "hyp_fallbacks",
         }
     }
 }

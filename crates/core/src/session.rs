@@ -540,6 +540,11 @@ impl<P: Probe> RouteSession<P> {
         self.events_base + self.engine.probe().events_len() as u64
     }
 
+    /// Every net's routing graph in its current state.
+    pub fn graphs(&self) -> &[RoutingGraph] {
+        self.engine.graphs()
+    }
+
     /// Global selections performed across the session's whole history.
     pub fn selections_done(&self) -> u64 {
         (self.base.selection_log.len() + self.engine.selection_log.len()) as u64

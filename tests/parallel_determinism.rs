@@ -170,6 +170,10 @@ fn scan_counters_are_thread_invariant() {
         },
     )
     .1;
+    assert!(
+        reference.counter(Counter::HypSubtree) > 0,
+        "the constrained route exercises the subtree kernel"
+    );
     for threads in [2, 8] {
         let trace = route_traced(
             &params,
@@ -191,6 +195,9 @@ fn scan_counters_are_thread_invariant() {
             Counter::HeapPush,
             Counter::HeapPop,
             Counter::StaleHeapPop,
+            Counter::HypBaseHit,
+            Counter::HypSubtree,
+            Counter::HypFallback,
         ] {
             assert_eq!(
                 trace.counter(c),
@@ -199,5 +206,13 @@ fn scan_counters_are_thread_invariant() {
                 c.label()
             );
         }
+        // Every hypothetical-length miss takes exactly one kernel path.
+        assert_eq!(
+            trace.counter(Counter::HypBaseHit)
+                + trace.counter(Counter::HypSubtree)
+                + trace.counter(Counter::HypFallback),
+            trace.counter(Counter::HypCacheMiss),
+            "threads {threads}: kernel paths do not sum to the misses"
+        );
     }
 }

@@ -219,3 +219,33 @@ fn budget_exhaustion_point_survives_interruption() {
     assert_eq!(sliced_events, full_events);
     assert_eq!(sliced.result.trees, full.result.trees);
 }
+
+/// `Steps` audits also compare hypothetical lengths, and the count is
+/// part of the `audit_step` events. A resumed session starts with empty
+/// hypothetical-wire caches, so the count must not depend on what the
+/// caches hold.
+#[test]
+fn step_audit_counts_survive_interruption() {
+    let ds = golden_instance();
+    let config = RouterConfig {
+        verify: bgr::router::VerifyLevel::Steps(16),
+        ..config(1, 1)
+    };
+    let (_, trace) = GlobalRouter::new(config.clone())
+        .route_traced(
+            ds.design.circuit.clone(),
+            ds.placement.clone(),
+            ds.design.constraints.clone(),
+        )
+        .expect("full route succeeds");
+    let full_events = deterministic_event_lines(&write_trace_jsonl(&trace));
+    assert!(full_events.contains("audit_step"));
+    let (_, sliced_events, _) = sliced_route(
+        &config,
+        &ds.design.circuit,
+        &ds.placement,
+        &ds.design.constraints,
+        7,
+    );
+    assert_eq!(sliced_events, full_events);
+}
