@@ -34,7 +34,6 @@ struct Record {
     instance: String,
     strategy: &'static str,
     threads: usize,
-    shards: usize,
     wall_ms: f64,
     selections: usize,
     deletions: usize,
@@ -58,7 +57,6 @@ fn run(
         threads,
         ..RouterConfig::default()
     };
-    let shards = config.shards;
     let t = Instant::now();
     let routed = GlobalRouter::new(config)
         .route(
@@ -78,7 +76,6 @@ fn run(
         instance: ds.name.clone(),
         strategy: strategy_label(strategy),
         threads,
-        shards,
         wall_ms: secs * 1e3,
         selections: stats.selection_log.len(),
         deletions: stats.deletions,
@@ -139,9 +136,9 @@ fn write_json(records: &[Record], path: &str) {
         let sep = if i + 1 == records.len() { "" } else { "," };
         writeln!(
             out,
-            "{{\"instance\":\"{}\",\"strategy\":\"{}\",\"threads\":{},\"shards\":{},\
+            "{{\"instance\":\"{}\",\"strategy\":\"{}\",\"threads\":{},\
              \"wall_ms\":{:.3},\"selections\":{},\"deletions\":{}}}{sep}",
-            r.instance, r.strategy, r.threads, r.shards, r.wall_ms, r.selections, r.deletions
+            r.instance, r.strategy, r.threads, r.wall_ms, r.selections, r.deletions
         )
         .expect("write to string");
     }

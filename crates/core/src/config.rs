@@ -61,7 +61,7 @@ pub enum OnViolation {
 /// pure function of the input and fires at the same point in every run:
 /// the `BudgetExhausted` trace event stays in the deterministic
 /// [`crate::TraceEvent`] stream without breaking the byte-identical
-/// guarantee across threads, shards and selection strategies (DESIGN.md
+/// guarantee across threads and selection strategies (DESIGN.md
 /// §9–§11). `None` means unlimited (the default).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Budgets {
@@ -209,10 +209,9 @@ pub struct RouterConfig {
     /// selection log, trees, track counts, trace-event stream — is
     /// byte-identical across thread counts (`tests/parallel_determinism.rs`).
     pub threads: usize,
-    /// Channel-region shards of the scoreboard's candidate pool (1 =
-    /// one global heap; `BGR_SHARDS` overrides the default; clamped to
-    /// the channel count at run time). Like `threads`, shard count
-    /// never changes the routing result.
+    /// Has no effect: the router never reads it. Kept only because the
+    /// benchmark harness sets it; the next change to the benchmark
+    /// removes it.
     pub shards: usize,
     /// Degradation policy when recovery leaves residual violations.
     pub on_violation: OnViolation,
@@ -256,7 +255,7 @@ impl Default for RouterConfig {
             slack_ordering: true,
             selection: SelectionStrategy::default(),
             threads: env_usize("BGR_THREADS", 1),
-            shards: env_usize("BGR_SHARDS", 4),
+            shards: 1,
             on_violation: OnViolation::default(),
             verify: VerifyLevel::from_env(),
             budgets: Budgets::default(),

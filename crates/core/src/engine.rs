@@ -18,10 +18,7 @@
 //! (see the scoreboard docs for why in-heap order is invariant under
 //! composition). After a deletion only the *dirty* nets are re-keyed;
 //! since aggregates are not stored, aggregate motion dirties **no**
-//! net — the engine merely calls `Scoreboard::refresh_channel` for
-//! each channel whose aggregates moved, so the shard's cached minimum
-//! is recomposed. The dirty set is derived from explicit invalidation
-//! hooks:
+//! net. The dirty set is derived from explicit invalidation hooks:
 //!
 //! * **graph** — the deleted net and its cascaded partner (their
 //!   [`RoutingGraph::generation`] advanced: alive set, bridges, pruning);
@@ -38,8 +35,7 @@
 //! A net dirty for several reasons at once is *counted* once, under a
 //! deterministic precedence (graph > span-overlap > constraint — see
 //! [`derive_dirty`] and DESIGN.md §9); the dirty *set* is independent
-//! of the attribution. The historical `aggregate_moved` re-key cause
-//! remains in the probe schema but is structurally zero now.
+//! of the attribution.
 //!
 //! Nets outside the dirty set provably keep their keys, so the
 //! scoreboard's pool always equals what a full rescan would compute.
@@ -60,7 +56,7 @@
 //! Because a champion scan touches only that per-net state plus the
 //! shared density map and timing analyzer immutably, re-keying a dirty
 //! batch fans out over [`crate::par::scoped_map`] when
-//! [`Engine::set_parallelism`] granted threads: the per-net states are
+//! [`Engine::set_threads`] granted threads: the per-net states are
 //! taken out of the engine, scanned on scoped worker threads, and
 //! merged back — results and probe counters alike — in ascending net-id
 //! order, keeping every observable byte-identical to the sequential
@@ -82,7 +78,6 @@ use crate::probe::{
 };
 use crate::scoreboard::Scoreboard;
 use crate::select::{compare, deciding_tier, DecidingTier, EdgeKey};
-use crate::shard::ShardMap;
 use crate::tentative::{tentative_length_um, HypKernel, HypPath};
 
 /// Per-net cache of hypothetical wire states, valid only while the
@@ -102,8 +97,8 @@ struct HypCache {
 /// Per-net memo of the delay prefix (`C_d`, `Gl`, `LD`) of an edge's
 /// key, valid while the owning graph's generation **and** the summed
 /// generations of the net's constraints both match. Density-only
-/// invalidations (`aggregate_moved` / `span_overlap`) move neither, so
-/// their re-keys skip the hypothetical-wire path entirely.
+/// invalidations (`span_overlap`) move neither, so their re-keys skip
+/// the hypothetical-wire path entirely.
 ///
 /// The constraint stamp is the *sum* of
 /// [`Sta::constraint_generation`] over the net's constraints: each
@@ -429,10 +424,7 @@ fn scan_raw_keys(
 /// ascending net-id order.
 ///
 /// Aggregate motion is *not* a dirty cause: raw keys carry no
-/// aggregates, so a channel whose aggregates moved only needs its
-/// shard's cached minimum recomposed
-/// ([`Scoreboard::refresh_channel`]). The historical
-/// [`RekeyCause::AggregateMoved`] is structurally zero.
+/// aggregates, and the scoreboard composes them in at every pop.
 ///
 /// Each argument is one clause of the dirty-set derivation (§8); they
 /// stay separate so the signature reads as the specification.
@@ -513,14 +505,9 @@ pub struct Engine<P: Probe = NoopProbe> {
     selection: SelectionStrategy,
     /// Worker threads for champion re-keying (1 = fully sequential).
     threads: usize,
-    /// Scoreboard shards (1 = the single global heap).
-    shards: usize,
     /// Density spans touched during the current deletion (scratch,
     /// drained by the scoreboard loop).
     delta_spans: Vec<(ChannelId, i32, i32)>,
-    /// Aggregate snapshot (`C_M`, `NC_M`, `C_m`, `NC_m`) of each touched
-    /// channel, captured before its first mutation of the deletion.
-    delta_snap: Vec<(ChannelId, [i32; 4])>,
     /// Constraints the analyzer refreshed during the current deletion.
     delta_cons: Vec<u32>,
     /// Nets whose graph changed during the current deletion.
@@ -625,9 +612,7 @@ impl<P: Probe> Engine<P> {
             channel_nets,
             selection: SelectionStrategy::default(),
             threads: 1,
-            shards: 1,
             delta_spans: Vec::new(),
-            delta_snap: Vec::new(),
             delta_cons: Vec::new(),
             delta_nets: Vec::new(),
             selection_log: Vec::new(),
@@ -686,15 +671,13 @@ impl<P: Probe> Engine<P> {
     }
 
     /// Grants the scoreboard path `threads` worker threads for champion
-    /// re-keying and splits its candidate pool into `shards`
-    /// channel-region shards. Both default to 1 (fully sequential,
-    /// single global heap) and both leave every deterministic
-    /// observable — selection log, trees, trace-event stream —
-    /// byte-identical (see the [module docs](self) and DESIGN.md §10);
-    /// only wall-clock and the parallelism diagnostics counters move.
-    pub fn set_parallelism(&mut self, threads: usize, shards: usize) {
+    /// re-keying. The default 1 is fully sequential, and every thread
+    /// count leaves every deterministic observable — selection log,
+    /// trees, trace-event stream — byte-identical (see the
+    /// [module docs](self) and DESIGN.md §10); only wall-clock and the
+    /// parallelism diagnostics counters move.
+    pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
-        self.shards = shards.max(1);
     }
 
     /// Selects the self-audit level. `Steps` audits inside the deletion
@@ -707,21 +690,8 @@ impl<P: Probe> Engine<P> {
 
     fn clear_delta(&mut self) {
         self.delta_spans.clear();
-        self.delta_snap.clear();
         self.delta_cons.clear();
         self.delta_nets.clear();
-    }
-
-    /// Records an imminent density mutation over `[x1, x2]` of `channel`:
-    /// snapshots the channel's aggregates on first touch (so the
-    /// scoreboard loop can tell whether they actually moved) and logs the
-    /// span. Must be called *before* the mutation.
-    fn note_touch(&mut self, channel: ChannelId, x1: i32, x2: i32) {
-        if !self.delta_snap.iter().any(|(c, _)| *c == channel) {
-            self.delta_snap
-                .push((channel, self.channel_aggregates(channel)));
-        }
-        self.delta_spans.push((channel, x1, x2));
     }
 
     fn channel_aggregates(&self, channel: ChannelId) -> [i32; 4] {
@@ -770,7 +740,7 @@ impl<P: Probe> Engine<P> {
                 x2,
                 width,
             } => {
-                // A phantom span added without `note_touch`: no snapshot,
+                // A phantom span no deletion logged: no touched span,
                 // no re-keying — the incremental profile silently drifts
                 // from what the alive trees imply.
                 if (channel as usize) < self.density.num_channels() {
@@ -940,7 +910,7 @@ impl<P: Probe> Engine<P> {
         let edge = g.edges()[e as usize];
         if let REdgeKind::Trunk { channel } = edge.kind {
             let (w, bridge) = (g.width() as i32, g.is_bridge(e));
-            self.note_touch(channel, edge.x1, edge.x2);
+            self.delta_spans.push((channel, edge.x1, edge.x2));
             self.density
                 .remove_span(channel, edge.x1, edge.x2, w, bridge);
         }
@@ -980,7 +950,7 @@ impl<P: Probe> Engine<P> {
             let edge = g.edges()[pe as usize];
             if let REdgeKind::Trunk { channel } = edge.kind {
                 let (w, bridge) = (g.width() as i32, g.is_bridge(pe));
-                self.note_touch(channel, edge.x1, edge.x2);
+                self.delta_spans.push((channel, edge.x1, edge.x2));
                 self.density
                     .remove_span(channel, edge.x1, edge.x2, w, bridge);
             }
@@ -995,7 +965,7 @@ impl<P: Probe> Engine<P> {
                 let edge = g.edges()[i as usize];
                 if let REdgeKind::Trunk { channel } = edge.kind {
                     let w = g.width() as i32;
-                    self.note_touch(channel, edge.x1, edge.x2);
+                    self.delta_spans.push((channel, edge.x1, edge.x2));
                     self.density.promote_span(channel, edge.x1, edge.x2, w);
                 }
             }
@@ -1040,7 +1010,7 @@ impl<P: Probe> Engine<P> {
     /// key evaluation, so it is cheap, and it is a pure function of the
     /// graph state at the stop point — which both selection strategies
     /// reach identically — so the trace stream stays byte-identical
-    /// across strategies, threads and shards. Every graph still ends a
+    /// across strategies and threads. Every graph still ends a
     /// spanning tree (the loop only terminates on all-bridges).
     pub fn run_deletion_budgeted(
         &mut self,
@@ -1324,18 +1294,7 @@ impl<P: Probe> Engine<P> {
         for &n in &nets {
             in_scope[n.index()] = true;
         }
-        let map = if self.shards <= 1 {
-            ShardMap::single(self.channel_nets.len() + 1)
-        } else {
-            // Band channels by live entry population (nets with edges in
-            // the channel == the heap's maximum entry count), not by
-            // channel count alone, so a few hot channels don't
-            // concentrate most rebuild work in one shard. Diagnostics
-            // only: shard layout never changes the selection sequence.
-            let weights: Vec<usize> = self.channel_nets.iter().map(Vec::len).collect();
-            ShardMap::by_channel_bands_weighted(self.shards, &weights)
-        };
-        let mut sb = Scoreboard::with_shards(map, self.graphs.len(), order);
+        let mut sb = Scoreboard::new(self.graphs.len(), self.channel_nets.len(), order);
         self.apply_corruption();
         if P::PROFILING {
             self.probe.scope_enter(Scope::Rekey);
@@ -1347,8 +1306,7 @@ impl<P: Probe> Engine<P> {
         let mut selections: u64 = 0;
         let complete = loop {
             // The budget check precedes the pop, so the stop point (and
-            // the heap-pop diagnostics under a fixed shard count) is the
-            // same in every run.
+            // the heap-pop diagnostics) is the same in every run.
             if stop.is_some_and(|b| start + selections >= b) {
                 break false;
             }
@@ -1400,16 +1358,10 @@ impl<P: Probe> Engine<P> {
             // refreshed constraints, restricted to the scope, each net
             // attributed to one cause under the deterministic precedence
             // of `derive_dirty`. Channels whose aggregates moved dirty
-            // no net — their shard minima are merely recomposed.
+            // no net: the next pop composes the new aggregates.
             let d_nets = std::mem::take(&mut self.delta_nets);
             let d_spans = std::mem::take(&mut self.delta_spans);
-            let d_snap = std::mem::take(&mut self.delta_snap);
             let d_cons = std::mem::take(&mut self.delta_cons);
-            for &(c, before) in &d_snap {
-                if before != self.channel_aggregates(c) {
-                    sb.refresh_channel(c);
-                }
-            }
             let dirty = derive_dirty(
                 &in_scope,
                 &d_nets,
@@ -1421,7 +1373,6 @@ impl<P: Probe> Engine<P> {
             // Hand the scratch buffers back for reuse.
             self.delta_nets = d_nets;
             self.delta_spans = d_spans;
-            self.delta_snap = d_snap;
             self.delta_cons = d_cons;
             self.probe.sample(Hist::DirtySetSize, dirty.len() as u64);
             let mut dirty_nets = Vec::with_capacity(dirty.len());
@@ -1686,7 +1637,7 @@ mod tests {
     fn parallel_rekeying_matches_sequential_engine_byte_for_byte() {
         let mut seq = engine_for_same_row();
         let mut par = engine_for_same_row();
-        par.set_parallelism(8, 4);
+        par.set_threads(8);
         let s1 = seq.run_deletion(None, CriteriaOrder::DelayFirst);
         let s2 = par.run_deletion(None, CriteriaOrder::DelayFirst);
         assert_eq!(s1, s2);

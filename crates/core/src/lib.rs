@@ -73,7 +73,6 @@ pub mod router;
 pub mod scoreboard;
 pub mod select;
 pub mod session;
-pub mod shard;
 pub mod tentative;
 
 pub use baseline::{SequentialConfig, SequentialRouter};
@@ -97,4 +96,3 @@ pub use select::{deciding_tier, DecidingTier};
 pub use session::{
     EngineSnapshot, RouteSession, SessionStage, SnapshotStats, StepOutcome, SNAPSHOT_VERSION,
 };
-pub use shard::ShardMap;

@@ -3,7 +3,7 @@
 //! The router is a long sequence of heuristic decisions — ranked
 //! criterion comparisons (§3.3–§3.4), three rip-up phases (§4.2),
 //! feed-cell insertion (§4.3) — and every performance hypothesis about
-//! it (parallel re-keying, sharded scoreboards, tighter density
+//! it (parallel re-keying, compose-at-pop scoreboards, tighter density
 //! invalidation) is an argument about *which* of those decisions
 //! dominate. This module defines the instrumentation contract that
 //! makes them measurable without giving up the engine's two core
@@ -83,11 +83,8 @@ impl Phase {
 pub enum RekeyCause {
     /// The net's own graph changed (deleted net or cascaded partner).
     Graph,
-    /// A touched channel's aggregates (`C_M/NC_M/C_m/NC_m`) moved, so
-    /// every key referencing the channel changed.
-    AggregateMoved,
-    /// Aggregates held but the net's trunk interval overlaps a touched
-    /// span (its window query reads the mutated profile).
+    /// The net's trunk interval overlaps a touched span (its window
+    /// query reads the mutated profile).
     SpanOverlap,
     /// The net belongs to a constraint whose margins were refreshed.
     Constraint,
@@ -95,9 +92,8 @@ pub enum RekeyCause {
 
 impl RekeyCause {
     /// Every cause, in dirty-set derivation order.
-    pub const ALL: [RekeyCause; 4] = [
+    pub const ALL: [RekeyCause; 3] = [
         RekeyCause::Graph,
-        RekeyCause::AggregateMoved,
         RekeyCause::SpanOverlap,
         RekeyCause::Constraint,
     ];
@@ -106,7 +102,6 @@ impl RekeyCause {
     pub fn label(self) -> &'static str {
         match self {
             RekeyCause::Graph => "graph",
-            RekeyCause::AggregateMoved => "aggregate_moved",
             RekeyCause::SpanOverlap => "span_overlap",
             RekeyCause::Constraint => "constraint",
         }
@@ -115,9 +110,8 @@ impl RekeyCause {
     fn index(self) -> usize {
         match self {
             RekeyCause::Graph => 0,
-            RekeyCause::AggregateMoved => 1,
-            RekeyCause::SpanOverlap => 2,
-            RekeyCause::Constraint => 3,
+            RekeyCause::SpanOverlap => 1,
+            RekeyCause::Constraint => 2,
         }
     }
 
@@ -125,7 +119,6 @@ impl RekeyCause {
     pub fn counter(self) -> Counter {
         match self {
             RekeyCause::Graph => Counter::RekeyGraph,
-            RekeyCause::AggregateMoved => Counter::RekeyAggregate,
             RekeyCause::SpanOverlap => Counter::RekeySpan,
             RekeyCause::Constraint => Counter::RekeyConstraint,
         }
@@ -133,10 +126,10 @@ impl RekeyCause {
 }
 
 /// Per-cause re-key totals, indexed by [`RekeyCause`] (replaces the
-/// former magic-index `[usize; 4]` of `RouteStats`).
+/// former magic-index array of `RouteStats`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RekeyCauses {
-    counts: [usize; 4],
+    counts: [usize; 3],
 }
 
 impl RekeyCauses {
@@ -157,13 +150,13 @@ impl RekeyCauses {
 
     /// Raw counts in [`RekeyCause::ALL`] order (the checkpoint codec's
     /// wire form).
-    pub fn counts(&self) -> [usize; 4] {
+    pub fn counts(&self) -> [usize; 3] {
         self.counts
     }
 
     /// Rebuilds the table from raw counts in [`RekeyCause::ALL`] order
     /// (checkpoint restore).
-    pub fn from_counts(counts: [usize; 4]) -> Self {
+    pub fn from_counts(counts: [usize; 3]) -> Self {
         Self { counts }
     }
 
@@ -224,7 +217,6 @@ impl Scope {
             Scope::DeriveDirty => "derive_dirty",
             Scope::Rekey => "rekey",
             Scope::RekeyFor(RekeyCause::Graph) => "rekey:graph",
-            Scope::RekeyFor(RekeyCause::AggregateMoved) => "rekey:aggregate_moved",
             Scope::RekeyFor(RekeyCause::SpanOverlap) => "rekey:span_overlap",
             Scope::RekeyFor(RekeyCause::Constraint) => "rekey:constraint",
             Scope::Reroute => "reroute",
@@ -358,9 +350,7 @@ pub enum Counter {
     StaleHeapPop,
     /// Re-keys caused by a changed graph (deleted net / partner).
     RekeyGraph,
-    /// Re-keys caused by moved channel aggregates.
-    RekeyAggregate,
-    /// Re-keys caused by span overlap with held aggregates.
+    /// Re-keys caused by span overlap.
     RekeySpan,
     /// Re-keys caused by refreshed timing constraints.
     RekeyConstraint,
@@ -385,9 +375,6 @@ pub enum Counter {
     ParTask,
     /// Fan-out batches dispatched by the parallel executor.
     ParBatch,
-    /// Scoreboard shards that received at least one fresh champion
-    /// during a re-key batch (the shards a deletion actually rebuilt).
-    ShardRebuild,
     /// Improvement-phase stops forced by the wall-clock deadline
     /// (`RouterConfig::deadline`). Inherently machine-dependent, which
     /// is exactly why deadline firings are a counter and not a
@@ -407,7 +394,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (array dimension).
-    pub const COUNT: usize = 21;
+    pub const COUNT: usize = 19;
 
     /// Every counter, in declaration order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -416,7 +403,6 @@ impl Counter {
         Counter::HeapPop,
         Counter::StaleHeapPop,
         Counter::RekeyGraph,
-        Counter::RekeyAggregate,
         Counter::RekeySpan,
         Counter::RekeyConstraint,
         Counter::DensityWindowQuery,
@@ -427,7 +413,6 @@ impl Counter {
         Counter::DelayMemoMiss,
         Counter::ParTask,
         Counter::ParBatch,
-        Counter::ShardRebuild,
         Counter::DeadlineStop,
         Counter::HypBaseHit,
         Counter::HypSubtree,
@@ -442,22 +427,20 @@ impl Counter {
             Counter::HeapPop => 2,
             Counter::StaleHeapPop => 3,
             Counter::RekeyGraph => 4,
-            Counter::RekeyAggregate => 5,
-            Counter::RekeySpan => 6,
-            Counter::RekeyConstraint => 7,
-            Counter::DensityWindowQuery => 8,
-            Counter::DensityAggregateQuery => 9,
-            Counter::HypCacheHit => 10,
-            Counter::HypCacheMiss => 11,
-            Counter::DelayMemoHit => 12,
-            Counter::DelayMemoMiss => 13,
-            Counter::ParTask => 14,
-            Counter::ParBatch => 15,
-            Counter::ShardRebuild => 16,
-            Counter::DeadlineStop => 17,
-            Counter::HypBaseHit => 18,
-            Counter::HypSubtree => 19,
-            Counter::HypFallback => 20,
+            Counter::RekeySpan => 5,
+            Counter::RekeyConstraint => 6,
+            Counter::DensityWindowQuery => 7,
+            Counter::DensityAggregateQuery => 8,
+            Counter::HypCacheHit => 9,
+            Counter::HypCacheMiss => 10,
+            Counter::DelayMemoHit => 11,
+            Counter::DelayMemoMiss => 12,
+            Counter::ParTask => 13,
+            Counter::ParBatch => 14,
+            Counter::DeadlineStop => 15,
+            Counter::HypBaseHit => 16,
+            Counter::HypSubtree => 17,
+            Counter::HypFallback => 18,
         }
     }
 
@@ -469,7 +452,6 @@ impl Counter {
             Counter::HeapPop => "heap_pops",
             Counter::StaleHeapPop => "stale_heap_pops",
             Counter::RekeyGraph => "rekeys_graph",
-            Counter::RekeyAggregate => "rekeys_aggregate_moved",
             Counter::RekeySpan => "rekeys_span_overlap",
             Counter::RekeyConstraint => "rekeys_constraint",
             Counter::DensityWindowQuery => "density_window_queries",
@@ -480,7 +462,6 @@ impl Counter {
             Counter::DelayMemoMiss => "delay_memo_misses",
             Counter::ParTask => "par_tasks",
             Counter::ParBatch => "par_batches",
-            Counter::ShardRebuild => "shard_rebuilds",
             Counter::DeadlineStop => "deadline_stops",
             Counter::HypBaseHit => "hyp_base_hits",
             Counter::HypSubtree => "hyp_subtree",
@@ -1408,14 +1389,14 @@ mod tests {
     fn rekey_causes_replace_magic_indices() {
         let mut rc = RekeyCauses::default();
         rc.record(RekeyCause::Graph);
-        rc.record(RekeyCause::AggregateMoved);
-        rc.record(RekeyCause::AggregateMoved);
+        rc.record(RekeyCause::SpanOverlap);
+        rc.record(RekeyCause::SpanOverlap);
         assert_eq!(rc.of(RekeyCause::Graph), 1);
-        assert_eq!(rc.of(RekeyCause::AggregateMoved), 2);
-        assert_eq!(rc.of(RekeyCause::SpanOverlap), 0);
+        assert_eq!(rc.of(RekeyCause::SpanOverlap), 2);
+        assert_eq!(rc.of(RekeyCause::Constraint), 0);
         assert_eq!(rc.total(), 3);
         let pairs: Vec<_> = rc.iter().collect();
-        assert_eq!(pairs[1], (RekeyCause::AggregateMoved, 2));
+        assert_eq!(pairs[1], (RekeyCause::SpanOverlap, 2));
     }
 
     #[test]
@@ -1602,7 +1583,6 @@ mod tests {
             Scope::DeriveDirty,
             Scope::Rekey,
             Scope::RekeyFor(RekeyCause::Graph),
-            Scope::RekeyFor(RekeyCause::AggregateMoved),
             Scope::RekeyFor(RekeyCause::SpanOverlap),
             Scope::RekeyFor(RekeyCause::Constraint),
             Scope::Reroute,

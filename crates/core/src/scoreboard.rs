@@ -1,7 +1,6 @@
 //! The candidate scoreboard: an ordered pool of **raw** [`EdgeKey`]s
-//! with generation-stamped lazy invalidation, one heap per channel,
-//! channel aggregates composed in at pop time, and per-shard cached
-//! minima so selection skips shards with no fresh entries.
+//! with generation-stamped lazy invalidation, one heap per channel, and
+//! channel aggregates composed in at pop time.
 //!
 //! The deletion loop (Fig. 2 lines 04–07) needs the minimum-ranked
 //! deletable edge across every in-scope net on every iteration. The
@@ -37,9 +36,8 @@
 //! untouched). Branch keys store zero window terms (they read
 //! aggregates only) and feed-half keys — which read no density at all —
 //! live in a trailing **channelless heap** composed with the identity.
-//! Aggregate motion thus never invalidates a stored entry; the engine
-//! only has to [`Scoreboard::refresh_channel`] the affected channel so
-//! the *cached shard minimum* below is recomposed.
+//! Aggregate motion thus never invalidates a stored entry, and since
+//! nothing composed is cached, it needs no notification either.
 //!
 //! # Invalidation contract
 //!
@@ -51,9 +49,7 @@
 //! * callers must invalidate-and-re-key every net whose **raw** key set
 //!   may have changed (the *dirty set* — graph generations, touched
 //!   span overlaps, refreshed timing constraints; see
-//!   `Engine::run_deletion`), and call
-//!   [`Scoreboard::refresh_channel`] for every channel whose aggregates
-//!   moved;
+//!   `Engine::run_deletion`);
 //! * nets outside the dirty set keep their entries, which remain
 //!   *exactly* the raw keys a full rescan would compute, because every
 //!   raw-key input is covered by the dirty-set definition.
@@ -62,25 +58,18 @@
 //! lazily, so a push is `O(log heap)` and a pop amortizes over the
 //! entries it discards.
 //!
-//! # Sharding, cached minima and the tournament
+//! # Selection: one pass over the heap tops
 //!
-//! The heaps are grouped into contiguous channel bands by a
-//! [`ShardMap`], and each shard caches its minimum *composed* key. A
-//! cache stays valid until something that could move it happens: a push
-//! into the shard, a pop out of it, an [`Scoreboard::invalidate_net`]
-//! touching a heap the net has entries in, or a
-//! [`Scoreboard::refresh_channel`] on one of its channels. Selection
-//! rebuilds only the invalid shards (draining stale heap tops,
-//! composing each heap's live top — one aggregate read per heap — and
-//! taking the strict-less minimum in ascending heap index), then runs a
-//! **tournament** over the cached shard minima in ascending shard index
-//! with a strict-less comparison — so ties (under the EPS-fuzzy
-//! [`compare`]) resolve to the lowest heap index holding the minimum,
-//! exactly as a single global heap would resolve them, because every
-//! live entry's key carries its `(net, edge)` identity and [`compare`]
-//! ends in that total tiebreak. DESIGN.md §10 gives the full
-//! determinism argument, including why EPS-fuzziness does not perturb
-//! it.
+//! A pop scans the heap tops in ascending heap index: it drains each
+//! heap's stale top entries, composes the live top under the current
+//! aggregates (one aggregate read per non-empty heap) and keeps a
+//! candidate only when it is strictly less than the best so far under
+//! [`compare`]. Every live key carries its `(net, edge)` identity and
+//! [`compare`] ends in that total tiebreak, so the winner is a pure
+//! function of the live entries and the current aggregates — the same
+//! edge a single global heap of composed keys would surface. DESIGN.md
+//! §10 gives the determinism argument, including why EPS-fuzziness
+//! does not perturb it.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -92,7 +81,6 @@ use crate::config::CriteriaOrder;
 use crate::density::DensityMap;
 use crate::probe::{Counter, Hist, NoopProbe, Probe};
 use crate::select::{compare, EdgeKey};
-use crate::shard::ShardMap;
 
 #[derive(Debug, Clone)]
 struct Entry {
@@ -126,61 +114,26 @@ impl Ord for Entry {
     }
 }
 
-/// Cached minimum of one shard: the best composed key over its heaps,
-/// valid until the shard receives a push / pop / invalidation /
-/// aggregate refresh.
-#[derive(Debug, Clone, Default)]
-struct ShardCache {
-    valid: bool,
-    /// `(heap, composed key)` of the shard's best live entry, `None`
-    /// when the shard is empty of live entries.
-    min: Option<(u32, EdgeKey)>,
-}
-
 /// Ordered candidate pool over every deletable edge of the in-scope
 /// nets. See the [module docs](self) for raw keys, the invalidation
-/// contract and the sharded tournament.
+/// contract and the heap-top scan.
 #[derive(Debug)]
 pub struct Scoreboard {
     /// One heap per channel, plus the trailing channelless heap
     /// (feed-half candidates; composed with the identity).
     heaps: Vec<BinaryHeap<Entry>>,
-    map: ShardMap,
     net_gen: Vec<u64>,
-    /// Conservative per-net list of heaps holding its entries, recorded
-    /// at push and cleared at invalidation — the shards to dirty when
-    /// the net's generation bumps.
-    net_heaps: Vec<Vec<u32>>,
-    cache: Vec<ShardCache>,
-    /// Precomputed shard → heaps expansion of `map`.
-    shard_heaps: Vec<Vec<u32>>,
     order: CriteriaOrder,
 }
 
 impl Scoreboard {
-    /// Creates an empty single-shard scoreboard for `num_nets` nets
-    /// over `num_channels` channels (plus the channelless heap),
-    /// comparing keys with `order`.
-    pub fn new(num_nets: usize, num_channels: usize, order: CriteriaOrder) -> Self {
-        Self::with_shards(ShardMap::single(num_channels + 1), num_nets, order)
-    }
-
-    /// Creates an empty scoreboard sharded by `map` (which covers the
-    /// channel heaps plus the trailing channelless heap), comparing
+    /// Creates an empty scoreboard for `num_nets` nets over
+    /// `num_channels` channels (plus the channelless heap), comparing
     /// keys with `order`.
-    pub fn with_shards(map: ShardMap, num_nets: usize, order: CriteriaOrder) -> Self {
-        let shards = map.count();
-        let mut shard_heaps = vec![Vec::new(); shards];
-        for h in 0..map.num_heaps() {
-            shard_heaps[map.shard_of_heap(h)].push(h as u32);
-        }
+    pub fn new(num_nets: usize, num_channels: usize, order: CriteriaOrder) -> Self {
         Self {
-            heaps: (0..map.num_heaps()).map(|_| BinaryHeap::new()).collect(),
+            heaps: (0..=num_channels).map(|_| BinaryHeap::new()).collect(),
             net_gen: vec![0; num_nets],
-            net_heaps: vec![Vec::new(); num_nets],
-            cache: vec![ShardCache::default(); shards],
-            shard_heaps,
-            map,
             order,
         }
     }
@@ -199,11 +152,6 @@ impl Scoreboard {
     /// The criteria order this scoreboard compares keys with.
     pub fn order(&self) -> CriteriaOrder {
         self.order
-    }
-
-    /// Number of shards the heaps are grouped into.
-    pub fn num_shards(&self) -> usize {
-        self.cache.len()
     }
 
     /// The index of the channelless heap (feed-half candidates).
@@ -234,14 +182,9 @@ impl Scoreboard {
         k
     }
 
-    fn dirty_shard_of_heap(&mut self, heap: usize) {
-        let s = self.map.shard_of_heap(heap);
-        self.cache[s].valid = false;
-    }
-
     /// Invalidates every entry of `net`: bumps its generation so existing
-    /// heap entries die lazily, and dirties the shards that held them.
-    /// Call before re-pushing the net's current keys.
+    /// heap entries die lazily. Call before re-pushing the net's current
+    /// keys.
     ///
     /// # Panics
     ///
@@ -255,17 +198,6 @@ impl Scoreboard {
         *g = g
             .checked_add(1)
             .expect("scoreboard generation counter overflowed");
-        let heaps = std::mem::take(&mut self.net_heaps[net.index()]);
-        for &h in &heaps {
-            self.dirty_shard_of_heap(h as usize);
-        }
-    }
-
-    /// Declares that `channel`'s aggregates moved: the raw entries of
-    /// its heap are all still valid, but the shard's cached minimum was
-    /// composed under the old aggregates and must be recomposed.
-    pub fn refresh_channel(&mut self, channel: ChannelId) {
-        self.dirty_shard_of_heap(channel.index());
     }
 
     /// Pushes a raw candidate key into its channel's heap (the
@@ -279,58 +211,55 @@ impl Scoreboard {
             stamp,
             order: self.order,
         });
-        let list = &mut self.net_heaps[key.net.index()];
-        if !list.contains(&(heap as u32)) {
-            list.push(heap as u32);
-        }
-        self.dirty_shard_of_heap(heap);
     }
 
-    /// Drains stale entries off the top of heap `h`, returning how many
-    /// were discarded. Afterwards the heap's top (if any) is live.
-    fn drain_stale_top(&mut self, h: usize) -> u64 {
+    /// The heap-top scan shared by [`Scoreboard::pop_valid_probed`] and
+    /// [`Scoreboard::runner_up`]: in ascending heap index, drains stale
+    /// tops, sets aside the live tops of `exclude` (re-pushed verbatim
+    /// before returning, so the live set is unchanged), composes each
+    /// remaining top under the current aggregates — one
+    /// [`Counter::DensityAggregateQuery`] per non-empty heap — and keeps
+    /// the strict-less minimum. Returns the winner's `(heap, composed
+    /// key)` and the number of stale entries discarded.
+    fn best_top<P: Probe>(
+        &mut self,
+        exclude: Option<NetId>,
+        density: &DensityMap,
+        probe: &mut P,
+    ) -> (Option<(usize, EdgeKey)>, u64) {
         let mut stale = 0u64;
-        while let Some(e) = self.heaps[h].peek() {
-            if e.stamp == self.net_gen[e.key.net.index()] {
-                break;
+        let mut best: Option<(usize, EdgeKey)> = None;
+        let mut stash: Vec<(usize, Entry)> = Vec::new();
+        for h in 0..self.heaps.len() {
+            while let Some(e) = self.heaps[h].peek() {
+                if e.stamp != self.net_gen[e.key.net.index()] {
+                    self.heaps[h].pop();
+                    stale += 1;
+                } else if Some(e.key.net) == exclude {
+                    let e = self.heaps[h].pop().expect("peeked entry pops");
+                    stash.push((h, e));
+                } else {
+                    break;
+                }
             }
-            self.heaps[h].pop();
-            stale += 1;
-        }
-        stale
-    }
-
-    /// Rebuilds the cached minimum of shard `s`: drains stale heap
-    /// tops, composes each live top under the current aggregates (one
-    /// aggregate read per non-empty heap) and takes the strict-less
-    /// minimum in ascending heap index. Returns the stale-drain count.
-    fn rebuild_shard<P: Probe>(&mut self, s: usize, density: &DensityMap, probe: &mut P) -> u64 {
-        if P::ENABLED {
-            probe.count(Counter::ShardRebuild, 1);
-        }
-        let mut stale = 0u64;
-        let mut min: Option<(u32, EdgeKey)> = None;
-        let heaps = std::mem::take(&mut self.shard_heaps[s]);
-        for &h in &heaps {
-            stale += self.drain_stale_top(h as usize);
-            let Some(raw) = self.heaps[h as usize].peek().map(|e| e.key) else {
+            let Some(raw) = self.heaps[h].peek().map(|e| e.key) else {
                 continue;
             };
             if P::ENABLED {
                 probe.count(Counter::DensityAggregateQuery, 1);
             }
-            let composed = self.compose(h as usize, raw, density);
-            let better = match &min {
-                None => true,
-                Some((_, b)) => compare(&composed, b, self.order) == Ordering::Less,
-            };
-            if better {
-                min = Some((h, composed));
+            let composed = self.compose(h, raw, density);
+            if best
+                .as_ref()
+                .is_none_or(|(_, b)| compare(&composed, b, self.order) == Ordering::Less)
+            {
+                best = Some((h, composed));
             }
         }
-        self.shard_heaps[s] = heaps;
-        self.cache[s] = ShardCache { valid: true, min };
-        stale
+        for (h, e) in stash {
+            self.heaps[h].push(e);
+        }
+        (best, stale)
     }
 
     /// Pops the best *valid* candidate — the minimum **composed** key
@@ -343,46 +272,22 @@ impl Scoreboard {
     /// [`Scoreboard::pop_valid`] with instrumentation: every pop is
     /// counted ([`Counter::HeapPop`]), stale discards additionally as
     /// [`Counter::StaleHeapPop`], the discards preceding the answer are
-    /// one [`Hist::StalePopsPerSelection`] observation, and every shard
-    /// whose cached minimum had to be rebuilt counts one
-    /// [`Counter::ShardRebuild`] (shards with no fresh entries are
-    /// skipped — their cache is still valid).
-    ///
-    /// The tournament scans cached shard minima in ascending shard
-    /// index and takes a candidate only when strictly less than the
-    /// best so far, so the result is a pure function of the live
-    /// entries and current aggregates (see the [module docs](self)).
+    /// one [`Hist::StalePopsPerSelection`] observation, and every
+    /// composed heap top is one [`Counter::DensityAggregateQuery`].
     pub fn pop_valid_probed<P: Probe>(
         &mut self,
         density: &DensityMap,
         probe: &mut P,
     ) -> Option<EdgeKey> {
-        let mut stale = 0u64;
-        for s in 0..self.cache.len() {
-            if !self.cache[s].valid {
-                stale += self.rebuild_shard(s, density, probe);
-            }
-        }
-        let mut best: Option<(usize, EdgeKey)> = None;
-        for c in &self.cache {
-            let Some((heap, key)) = c.min else { continue };
-            let better = match &best {
-                None => true,
-                Some((_, b)) => compare(&key, b, self.order) == Ordering::Less,
-            };
-            if better {
-                best = Some((heap as usize, key));
-            }
-        }
+        let (best, stale) = self.best_top(None, density, probe);
         let out = best.map(|(heap, key)| {
             let popped = self.heaps[heap]
                 .pop()
-                .expect("tournament winner heap has a top entry");
+                .expect("winning heap has a top entry");
             debug_assert!(
                 popped.key.net == key.net && popped.key.edge == key.edge,
-                "cached shard minimum diverged from its heap top"
+                "composed minimum diverged from its heap top"
             );
-            self.dirty_shard_of_heap(heap);
             key
         });
         if P::ENABLED {
@@ -399,40 +304,13 @@ impl Scoreboard {
     /// second-best champion.
     ///
     /// Excluded entries are popped and re-pushed verbatim (same stamp),
-    /// so the live set — and with it every shard's cached minimum — is
-    /// unchanged; only stale entries are (harmlessly) drained. Unprobed
-    /// on purpose: provenance peeking must not perturb the heap-pop
-    /// diagnostics.
+    /// so the live set is unchanged; only stale entries are (harmlessly)
+    /// drained. Unprobed on purpose: provenance peeking must not perturb
+    /// the heap-pop diagnostics.
     pub fn runner_up(&mut self, exclude: NetId, density: &DensityMap) -> Option<EdgeKey> {
-        let mut best: Option<EdgeKey> = None;
-        let mut stash: Vec<(usize, Entry)> = Vec::new();
-        for h in 0..self.heaps.len() {
-            while let Some(e) = self.heaps[h].peek() {
-                if e.stamp != self.net_gen[e.key.net.index()] {
-                    self.heaps[h].pop();
-                } else if e.key.net == exclude {
-                    let e = self.heaps[h].pop().expect("peeked entry pops");
-                    stash.push((h, e));
-                } else {
-                    break;
-                }
-            }
-            let Some(raw) = self.heaps[h].peek().map(|e| e.key) else {
-                continue;
-            };
-            let composed = self.compose(h, raw, density);
-            let better = match &best {
-                None => true,
-                Some(b) => compare(&composed, b, self.order) == Ordering::Less,
-            };
-            if better {
-                best = Some(composed);
-            }
-        }
-        for (h, e) in stash {
-            self.heaps[h].push(e);
-        }
-        best
+        self.best_top(Some(exclude), density, &mut NoopProbe)
+            .0
+            .map(|(_, key)| key)
     }
 }
 
@@ -463,12 +341,6 @@ mod tests {
     /// composition is the identity and raw keys compare as-is.
     fn flat() -> DensityMap {
         DensityMap::new(4, 100)
-    }
-
-    /// Four channel heaps in two shards: channels 0-1 in shard 0,
-    /// channels 2-3 in shard 1 (the channelless heap rides in shard 0).
-    fn two_shard_map() -> ShardMap {
-        ShardMap::by_channel_bands(2, 4)
     }
 
     #[test]
@@ -520,43 +392,44 @@ mod tests {
     }
 
     #[test]
-    fn tournament_pops_the_global_minimum_across_shards() {
+    fn pops_the_global_minimum_across_heaps() {
         let d = flat();
-        let mut sb = Scoreboard::with_shards(two_shard_map(), 4, CriteriaOrder::DelayFirst);
-        assert_eq!(sb.num_shards(), 2);
-        sb.push(key(0, 0, 4), ch(0)); // shard 0
-        sb.push(key(2, 0, -1), ch(2)); // shard 1: global minimum
-        sb.push(key(3, 0, 2), ch(3)); // shard 1
-        sb.push(key(1, 0, 0), ch(1)); // shard 0
+        let mut sb = Scoreboard::new(5, 4, CriteriaOrder::DelayFirst);
+        sb.push(key(0, 0, 4), ch(0));
+        sb.push(key(2, 0, -1), ch(2)); // global minimum
+        sb.push(key(3, 0, 2), ch(3));
+        sb.push(key(1, 0, 0), ch(1));
+        sb.push(key(4, 0, 1), None); // channelless heap
         let pops: Vec<usize> =
             std::iter::from_fn(|| sb.pop_valid(&d).map(|k| k.net.index())).collect();
-        assert_eq!(pops, vec![2, 1, 3, 0]);
+        assert_eq!(pops, vec![2, 1, 4, 3, 0]);
         assert!(sb.is_empty());
     }
 
     #[test]
-    fn tournament_ties_resolve_by_total_key_order_not_shard_order() {
-        // Identical criteria in both shards: the (net, edge) tiebreak of
-        // `compare` decides, exactly as a single global heap would.
+    fn ties_across_heaps_resolve_by_total_key_order_not_heap_order() {
+        // Identical criteria in several heaps: the (net, edge) tiebreak
+        // of `compare` decides, exactly as a single global heap would.
         let d = flat();
-        let mut sb = Scoreboard::with_shards(two_shard_map(), 4, CriteriaOrder::DelayFirst);
-        sb.push(key(2, 0, 0), ch(2)); // shard 1, lower net id than…
-        sb.push(key(3, 0, 0), ch(3)); // …its shard 1 sibling
-        sb.push(key(0, 1, 0), ch(0)); // shard 0, lowest net id of all
-        let pops: Vec<usize> =
-            std::iter::from_fn(|| sb.pop_valid(&d).map(|k| k.net.index())).collect();
-        assert_eq!(pops, vec![0, 2, 3]);
+        let mut sb = Scoreboard::new(4, 4, CriteriaOrder::DelayFirst);
+        sb.push(key(3, 0, 0), ch(0)); // lowest heap index, highest net id
+        sb.push(key(2, 0, 0), ch(2));
+        sb.push(key(0, 1, 0), ch(3)); // highest channel, lowest net id
+        sb.push(key(0, 0, 0), None); // same net, lower edge, channelless
+        let pops: Vec<(usize, u32)> =
+            std::iter::from_fn(|| sb.pop_valid(&d).map(|k| (k.net.index(), k.edge))).collect();
+        assert_eq!(pops, vec![(0, 0), (0, 1), (2, 0), (3, 0)]);
     }
 
     #[test]
-    fn stale_champion_of_fully_bridged_net_is_skipped_in_every_shard() {
+    fn stale_champion_of_fully_bridged_net_is_skipped_across_heaps() {
         // A net whose last deletable edge became a bridge re-keys to *no*
         // entries: its generation bumps and nothing is re-pushed. The
-        // tournament must see through the stale top of its heap.
+        // heap-top scan must see through the stale top of its heap.
         let d = flat();
-        let mut sb = Scoreboard::with_shards(two_shard_map(), 4, CriteriaOrder::DelayFirst);
-        sb.push(key(0, 0, -5), ch(0)); // shard 0: would win the tournament…
-        sb.push(key(2, 0, 3), ch(2)); // shard 1
+        let mut sb = Scoreboard::new(3, 4, CriteriaOrder::DelayFirst);
+        sb.push(key(0, 0, -5), ch(0)); // would win the scan…
+        sb.push(key(2, 0, 3), ch(2));
         sb.invalidate_net(NetId::new(0)); // …but its net is now fully bridged
         assert_eq!(sb.pop_valid(&d).map(|k| k.net), Some(NetId::new(2)));
         assert_eq!(sb.pop_valid(&d), None);
@@ -572,46 +445,22 @@ mod tests {
     }
 
     #[test]
-    fn probed_pop_counts_stale_discards_and_shard_rebuilds() {
+    fn probed_pop_counts_stale_discards_and_aggregate_reads() {
         use crate::probe::CollectingProbe;
         let d = flat();
-        let mut sb = Scoreboard::with_shards(two_shard_map(), 4, CriteriaOrder::DelayFirst);
+        let mut sb = Scoreboard::new(3, 4, CriteriaOrder::DelayFirst);
         sb.push(key(0, 0, 1), ch(0));
         sb.push(key(0, 1, 2), ch(0));
         sb.push(key(2, 0, 5), ch(2));
-        sb.invalidate_net(NetId::new(0)); // both shard-0 entries go stale
+        sb.invalidate_net(NetId::new(0)); // both channel-0 entries go stale
         let mut probe = CollectingProbe::new();
         let got = sb.pop_valid_probed(&d, &mut probe);
         assert_eq!(got.map(|k| k.net), Some(NetId::new(2)));
         let trace = probe.finish();
         assert_eq!(trace.counter(Counter::StaleHeapPop), 2);
         assert_eq!(trace.counter(Counter::HeapPop), 3);
-        // Both shards were fresh-dirty, so both rebuilt.
-        assert_eq!(trace.counter(Counter::ShardRebuild), 2);
-    }
-
-    #[test]
-    fn valid_shards_skip_the_rebuild() {
-        use crate::probe::CollectingProbe;
-        let d = flat();
-        let mut sb = Scoreboard::with_shards(two_shard_map(), 4, CriteriaOrder::DelayFirst);
-        sb.push(key(0, 0, 1), ch(0)); // shard 0
-        sb.push(key(2, 0, 2), ch(2)); // shard 1
-        sb.push(key(3, 0, 3), ch(3)); // shard 1
-        let mut probe = CollectingProbe::new();
-        // First pop rebuilds both shards and takes net 0 from shard 0.
-        assert_eq!(
-            sb.pop_valid_probed(&d, &mut probe).map(|k| k.net),
-            Some(NetId::new(0))
-        );
-        // Second pop: only shard 0 (the winner's) is dirty; shard 1's
-        // cached minimum is reused untouched.
-        assert_eq!(
-            sb.pop_valid_probed(&d, &mut probe).map(|k| k.net),
-            Some(NetId::new(2))
-        );
-        let trace = probe.finish();
-        assert_eq!(trace.counter(Counter::ShardRebuild), 2 + 1);
+        // Only channel 2 had a live top to compose.
+        assert_eq!(trace.counter(Counter::DensityAggregateQuery), 1);
     }
 
     #[test]
@@ -633,41 +482,45 @@ mod tests {
     }
 
     #[test]
-    fn refresh_channel_recomposes_a_cached_shard_minimum() {
+    fn aggregate_motion_without_a_push_changes_the_pop_winner() {
+        // Nothing composed outlives a pop: when a channel's aggregates
+        // move with no push, re-key or notification, the next pop
+        // already ranks that channel's entries under the new values.
         let mut d = flat();
-        let mut sb = Scoreboard::with_shards(two_shard_map(), 4, CriteriaOrder::DelayFirst);
-        sb.push(key(0, 0, 0), ch(0)); // shard 0
-        sb.push(key(2, 0, 0), ch(2)); // shard 1
-                                      // First pop caches shard 1's minimum under zero aggregates.
-        assert_eq!(sb.pop_valid(&d).map(|k| k.net), Some(NetId::new(0)));
-        // Channel 2's aggregates move (no push into shard 1), and a new
-        // shard-0 entry arrives that beats the *new* composed value.
-        d.add_span(ChannelId::new(2), 0, 10, 5, true);
-        sb.refresh_channel(ChannelId::new(2));
+        let mut sb = Scoreboard::new(3, 4, CriteriaOrder::DelayFirst);
+        sb.push(key(0, 0, 0), ch(0));
+        sb.push(key(2, 0, 0), ch(2));
         sb.push(key(1, 0, 3), ch(1));
+        assert_eq!(sb.pop_valid(&d).map(|k| k.net), Some(NetId::new(0)));
+        // Under zero aggregates net 2 (f_min 0) would beat net 1 (f_min
+        // 3); lifting channel 2 by 5 reverses that.
+        d.add_span(ChannelId::new(2), 0, 10, 5, true);
         let k = sb.pop_valid(&d).unwrap();
-        assert_eq!(k.net, NetId::new(1), "stale composed minimum won");
-        assert_eq!(sb.pop_valid(&d).map(|k| k.net), Some(NetId::new(2)));
+        assert_eq!(k.net, NetId::new(1), "pre-motion composition won");
+        let k = sb.pop_valid(&d).unwrap();
+        assert_eq!((k.net, k.f_min), (NetId::new(2), 5));
     }
 
     #[test]
     fn runner_up_excludes_one_net_and_leaves_the_pool_intact() {
         let d = flat();
-        let mut sb = Scoreboard::with_shards(two_shard_map(), 4, CriteriaOrder::DelayFirst);
+        let mut sb = Scoreboard::new(3, 4, CriteriaOrder::DelayFirst);
         sb.push(key(0, 0, 1), ch(0));
         sb.push(key(0, 1, 2), ch(0));
         sb.push(key(1, 0, 5), ch(1));
         sb.push(key(2, 0, 3), ch(2));
-        // Best of everything-but-net-0 is net 2, across both of net 0's
-        // entries sitting above it in shard 0.
+        sb.push(key(0, 2, 0), None);
+        // Best of everything-but-net-0 is net 2, past both of net 0's
+        // entries stacked in channel 0 and its channelless entry.
         assert_eq!(
             sb.runner_up(NetId::new(0), &d).map(|k| k.net),
             Some(NetId::new(2))
         );
+        assert_eq!(sb.len(), 5, "the peek dropped no live entry");
         // The peek left every entry in place: pops proceed as if it
         // never happened.
         let pops: Vec<(usize, u32)> =
             std::iter::from_fn(|| sb.pop_valid(&d).map(|k| (k.net.index(), k.edge))).collect();
-        assert_eq!(pops, vec![(0, 0), (0, 1), (2, 0), (1, 0)]);
+        assert_eq!(pops, vec![(0, 2), (0, 0), (0, 1), (2, 0), (1, 0)]);
     }
 }

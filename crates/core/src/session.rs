@@ -39,7 +39,7 @@
 //! concatenation of per-slice deterministic event streams is
 //! byte-identical to the uninterrupted stream — the golden-trace
 //! resume harness (`tests/session_resume.rs`) proves it across
-//! thread and shard counts.
+//! thread counts.
 
 use std::time::{Duration, Instant};
 
@@ -60,7 +60,7 @@ use crate::router::Routed;
 
 /// Version tag of [`EngineSnapshot`] (and its serialized checkpoint
 /// form in `bgr-io`). Bump on any change to the captured state set.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Where a session stands in the routing pipeline. Checkpoint
 /// boundaries are exactly the values of this enum: mid-deletion-loop
@@ -348,7 +348,7 @@ impl<P: Probe> RouteSession<P> {
             probe,
         );
         engine.set_selection(config.selection);
-        engine.set_parallelism(config.threads, config.shards);
+        engine.set_threads(config.threads);
         engine.set_verify(config.verify);
 
         Ok(Self {
@@ -504,7 +504,7 @@ impl<P: Probe> RouteSession<P> {
             probe,
         );
         engine.set_selection(config.selection);
-        engine.set_parallelism(config.threads, config.shards);
+        engine.set_threads(config.threads);
         engine.set_verify(config.verify);
         Ok(Self {
             config,

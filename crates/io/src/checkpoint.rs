@@ -32,7 +32,8 @@ use crate::error::ParseError;
 use crate::netlist::{parse_netlist, write_netlist};
 use crate::placement::{parse_placement, write_placement};
 
-const HEADER: &str = "bgr-checkpoint v1";
+/// The header line, completed by [`SNAPSHOT_VERSION`].
+const HEADER_PREFIX: &str = "bgr-checkpoint v";
 
 fn f64_hex(v: f64) -> String {
     format!("{:016x}", v.to_bits())
@@ -118,8 +119,8 @@ pub fn externalize_design(
 ///
 /// Only deterministically safe knobs should differ between arms:
 /// `criteria_order` (changes future deletion decisions — the point of
-/// racing), `threads`/`shards`/`selection` (proven
-/// observable-invariant), budgets and verify level. Changing
+/// racing), `threads`/`selection` (proven observable-invariant),
+/// budgets and verify level. Changing
 /// `use_constraints` or the delay model mid-run re-interprets state the
 /// suspended session already computed and is rejected by nothing here —
 /// callers own that contract.
@@ -139,7 +140,7 @@ pub fn reconfigure_checkpoint(
 /// Serializes a snapshot to the checkpoint text format.
 pub fn write_checkpoint(snap: &EngineSnapshot) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "{HEADER}");
+    let _ = writeln!(out, "{HEADER_PREFIX}{SNAPSHOT_VERSION}");
     // The embedded design first: everything after it is interpreted
     // against these objects.
     let _ = writeln!(out, "begin netlist");
@@ -164,7 +165,7 @@ pub fn write_checkpoint(snap: &EngineSnapshot) -> String {
 /// error directing there.
 pub fn write_checkpoint_ref(snap: &EngineSnapshot, refs: &DesignRefs) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "{HEADER}");
+    let _ = writeln!(out, "{HEADER_PREFIX}{SNAPSHOT_VERSION}");
     let _ = writeln!(
         out,
         "design-ref netlist {:016x} {}",
@@ -242,7 +243,6 @@ fn write_state(out: &mut String, snap: &EngineSnapshot) {
         }
     );
     let _ = writeln!(out, "config threads {}", c.threads);
-    let _ = writeln!(out, "config shards {}", c.shards);
     let _ = writeln!(
         out,
         "config on_violation {}",
@@ -281,11 +281,7 @@ fn write_state(out: &mut String, snap: &EngineSnapshot) {
     let _ = writeln!(out, "stat deletions {}", s.deletions);
     let _ = writeln!(out, "stat reroutes {}", s.reroutes);
     let rk = s.rekey_causes.counts();
-    let _ = writeln!(
-        out,
-        "stat rekey_causes {} {} {} {}",
-        rk[0], rk[1], rk[2], rk[3]
-    );
+    let _ = writeln!(out, "stat rekey_causes {} {} {}", rk[0], rk[1], rk[2]);
     let _ = writeln!(out, "stat audits_passed {}", s.audits_passed);
     let _ = writeln!(out, "stat audit_checks {}", s.audit_checks);
     let _ = writeln!(out, "stat feed_cells_inserted {}", s.feed_cells_inserted);
@@ -545,7 +541,7 @@ fn parse_checkpoint_inner(
 ) -> Result<EngineSnapshot, ParseError> {
     let mut cur = Cursor::new(text);
     let header = cur.next()?;
-    match header.strip_prefix("bgr-checkpoint v") {
+    match header.strip_prefix(HEADER_PREFIX) {
         Some(v) if v == SNAPSHOT_VERSION.to_string() => {}
         Some(v) => {
             return Err(cur.err(format!(
@@ -612,7 +608,6 @@ fn parse_checkpoint_inner(
         other => return Err(cur.err(format!("unknown selection strategy {other:?}"))),
     };
     config.threads = cur.usize_field("config threads")?;
-    config.shards = cur.usize_field("config shards")?;
     config.on_violation = match cur.field("config on_violation")? {
         "fail" => OnViolation::Fail,
         "best_effort" => OnViolation::BestEffort,
@@ -667,12 +662,12 @@ fn parse_checkpoint_inner(
     };
     stats.rekey_causes = {
         let raw = cur.field("stat rekey_causes")?;
-        let mut counts = [0usize; 4];
+        let mut counts = [0usize; 3];
         let mut it = raw.split(' ');
         for slot in &mut counts {
             let tok = it
                 .next()
-                .ok_or_else(|| cur.err("rekey_causes wants 4 counts"))?;
+                .ok_or_else(|| cur.err("rekey_causes wants 3 counts"))?;
             *slot = cur.usize_of(tok)?;
         }
         RekeyCauses::from_counts(counts)
@@ -796,7 +791,6 @@ mod tests {
         let mut session = RouteSession::start(
             RouterConfig {
                 threads: 1,
-                shards: 2,
                 ..RouterConfig::default()
             },
             circuit,
@@ -931,7 +925,8 @@ mod tests {
     #[test]
     fn version_skew_is_a_parse_error() {
         let text = write_checkpoint(&sample_snapshot());
-        let skewed = text.replacen("bgr-checkpoint v1", "bgr-checkpoint v2", 1);
+        let skewed = text.replacen("bgr-checkpoint v2", "bgr-checkpoint v3", 1);
+        assert_ne!(skewed, text);
         let err = parse_checkpoint(&skewed).unwrap_err();
         assert!(err.message.contains("version"), "{err}");
         let err = parse_checkpoint("hello world\n").unwrap_err();

@@ -11,7 +11,8 @@
 //!   and mid-line byte cuts) → `ParseError`;
 //! - token corruption (garbled hex, non-numeric counts, wrong
 //!   keywords, bad mask characters) → `ParseError`;
-//! - version skew → `ParseError` naming the version;
+//! - version skew, including a v1 document with its retired
+//!   `config shards` line → `ParseError` naming the version;
 //! - a syntactically valid checkpoint whose alive-mask disconnects a
 //!   net → `RouteError::Checkpoint` at resume;
 //! - a `diff_pairs_locked` stat bump — parses and resumes cleanly, but
@@ -79,11 +80,11 @@ fn corrupted_tokens_are_parse_errors() {
     let text = mid_run_checkpoint();
     let cases: Vec<(String, &str)> = vec![
         (
-            text.replacen("bgr-checkpoint v1", "bgr-checkpoint v2", 1),
+            text.replacen("bgr-checkpoint v2", "bgr-checkpoint v3", 1),
             "version skew",
         ),
         (
-            text.replacen("bgr-checkpoint v1", "some other file", 1),
+            text.replacen("bgr-checkpoint v2", "some other file", 1),
             "foreign header",
         ),
         (text.replacen("stage", "stge", 1), "misspelled keyword"),
@@ -112,11 +113,40 @@ fn corrupted_tokens_are_parse_errors() {
 
 #[test]
 fn version_skew_error_names_the_version() {
-    let text = mid_run_checkpoint().replacen("bgr-checkpoint v1", "bgr-checkpoint v7", 1);
+    let text = mid_run_checkpoint().replacen("bgr-checkpoint v2", "bgr-checkpoint v7", 1);
     let err = parse_checkpoint(&text).expect_err("skewed version must not parse");
     assert!(
         err.to_string().contains("version"),
         "unhelpful version error: {err}"
+    );
+}
+
+#[test]
+fn v1_document_is_rejected_by_version() {
+    // A v1 checkpoint: the v2 text with its header set back and the
+    // retired `config shards` line restored after `config threads`.
+    let mut v1 = String::new();
+    for line in mid_run_checkpoint().lines() {
+        v1.push_str(if line == "bgr-checkpoint v2" {
+            "bgr-checkpoint v1"
+        } else {
+            line
+        });
+        v1.push('\n');
+        if line.starts_with("config threads ") {
+            v1.push_str("config shards 4\n");
+        }
+    }
+    assert!(v1.starts_with("bgr-checkpoint v1\n"), "header not set back");
+    assert!(
+        v1.contains("\nconfig shards 4\n"),
+        "shards line not restored"
+    );
+    let err = parse_checkpoint(&v1).expect_err("a v1 checkpoint must not parse");
+    assert_eq!(err.line, 1, "rejected past the header: {err}");
+    assert!(
+        err.message.contains("version \"1\"") && err.message.contains("v2"),
+        "error does not name both versions: {err}"
     );
 }
 

@@ -1,21 +1,20 @@
-//! Parallel-execution determinism: threads × shards never change the
-//! route.
+//! Parallel-execution determinism: the worker-thread count never
+//! changes the route.
 //!
 //! The parallel subsystem (scoped-thread champion re-keying in
-//! `bgr_core::par`, channel-region scoreboard shards in
-//! `bgr_core::shard`) promises that worker threads and shard counts are
-//! *pure performance knobs*: every deterministic observable — selection
-//! log, routed trees, track counts, and the full `TraceEvent` stream —
-//! is byte-identical for threads ∈ {1, 2, 8} × shards ∈ {1, 4}, and
-//! identical to the `FullRescan` oracle. These tests prove it on the
+//! `bgr_core::par`) promises that worker threads are a *pure
+//! performance knob*: every deterministic observable — selection log,
+//! routed trees, track counts, and the full `TraceEvent` stream — is
+//! byte-identical for threads ∈ {1, 2, 8}, and identical to the
+//! `FullRescan` oracle. These tests prove it on the
 //! same four generated circuit shapes as `tests/oracle_equivalence.rs`
 //! (see DESIGN.md §10 for the structural argument the proof backs).
 
 use bgr::gen::{generate, place_design, GenParams, PlacementStyle};
 use bgr::router::{GlobalRouter, RouteTrace, Routed, RouterConfig, SelectionStrategy, TraceEvent};
 
-/// The threads × shards matrix every shape is routed under.
-const MATRIX: [(usize, usize); 6] = [(1, 1), (1, 4), (2, 1), (2, 4), (8, 1), (8, 4)];
+/// The thread counts every shape is routed under.
+const THREADS: [usize; 3] = [1, 2, 8];
 
 fn route_traced(params: &GenParams, config: RouterConfig) -> (Routed, RouteTrace) {
     let design = generate(params);
@@ -41,22 +40,20 @@ fn assert_matrix_matches_oracle(params: &GenParams, base: RouterConfig) {
     let oracle_config = RouterConfig {
         selection: SelectionStrategy::FullRescan,
         threads: 1,
-        shards: 1,
         ..base.clone()
     };
     let (oracle, oracle_trace) = route_traced(params, oracle_config);
     // Re-key attribution is scoreboard-only (the rescan derives no dirty
-    // sets); it must still be invariant across the matrix.
+    // sets); it must still be invariant across thread counts.
     let mut rekey_reference = None;
-    for (threads, shards) in MATRIX {
+    for threads in THREADS {
         let config = RouterConfig {
             selection: SelectionStrategy::Scoreboard,
             threads,
-            shards,
             ..base.clone()
         };
         let (routed, trace) = route_traced(params, config);
-        let tag = format!("seed {} threads {threads} shards {shards}", params.seed);
+        let tag = format!("seed {} threads {threads}", params.seed);
         assert_eq!(
             routed.result.stats.selection_log, oracle.result.stats.selection_log,
             "{tag}: deletion sequences diverge"
@@ -78,7 +75,7 @@ fn assert_matrix_matches_oracle(params: &GenParams, base: RouterConfig) {
             None => rekey_reference = Some(rekeys),
             Some(reference) => assert_eq!(
                 rekeys, reference,
-                "{tag}: rekey-cause attribution diverges across the matrix"
+                "{tag}: rekey-cause attribution diverges across thread counts"
             ),
         }
         if let Some(i) = first_divergence(&trace.events, &oracle_trace.events) {
@@ -137,7 +134,7 @@ fn unconstrained_area_routing_is_thread_and_shard_invariant() {
 /// Deterministic budgets (DESIGN.md §11) are step counts, so exhaustion
 /// — the `BudgetExhausted` event and the fallback completion path it
 /// triggers — must land at the same stream position under every
-/// threads × shards combination and match the oracle.
+/// thread count and match the oracle.
 #[test]
 fn budgeted_route_is_thread_and_shard_invariant() {
     use bgr::router::Budgets;
@@ -154,9 +151,8 @@ fn budgeted_route_is_thread_and_shard_invariant() {
 /// Counters are diagnostics and *may* differ across configurations —
 /// but the deterministic work counters (key evaluations, density
 /// queries, memo traffic) must not: the same scans run in the same
-/// order whatever the thread count. Only heap/shard/parallelism
-/// bookkeeping is allowed to move, and with a fixed shard count even
-/// heap traffic must match.
+/// order whatever the thread count. Only parallelism bookkeeping is
+/// allowed to move; heap traffic must match too.
 #[test]
 fn scan_counters_are_thread_invariant() {
     use bgr::router::Counter;
@@ -165,7 +161,6 @@ fn scan_counters_are_thread_invariant() {
         &params,
         RouterConfig {
             threads: 1,
-            shards: 4,
             ..RouterConfig::default()
         },
     )
@@ -179,7 +174,6 @@ fn scan_counters_are_thread_invariant() {
             &params,
             RouterConfig {
                 threads,
-                shards: 4,
                 ..RouterConfig::default()
             },
         )

@@ -16,8 +16,8 @@
 //! - the routing result (trees, channel tracks) and its independent
 //!   `bgr::verify` audit on both endpoints.
 //!
-//! The matrix crosses worker threads {1, 8} × scoreboard shards {1, 4}
-//! — the identity must survive any parallelism/sharding choice, and
+//! The harness runs under worker threads {1, 8} — the identity must
+//! survive any parallelism choice, and
 //! every suspension passes through the *serialized* checkpoint codec
 //! (`write_checkpoint` → `parse_checkpoint`), not an in-memory
 //! snapshot. The golden instance's sliced run is additionally pinned
@@ -38,12 +38,11 @@ use bgr::router::{
 use bgr::timing::PathConstraint;
 use bgr::verify::audit_parallel;
 
-const MATRIX: [(usize, usize); 4] = [(1, 1), (1, 4), (8, 1), (8, 4)];
+const THREADS: [usize; 2] = [1, 8];
 
-fn config(threads: usize, shards: usize) -> RouterConfig {
+fn config(threads: usize) -> RouterConfig {
     RouterConfig {
         threads,
-        shards,
         ..RouterConfig::default()
     }
 }
@@ -101,8 +100,8 @@ fn sliced_route(
 fn resume_equals_uninterrupted_across_threads_and_shards() {
     let ds = golden_instance();
     let mut event_streams: Vec<String> = Vec::new();
-    for (threads, shards) in MATRIX {
-        let config = config(threads, shards);
+    for threads in THREADS {
+        let config = config(threads);
         let (full, trace) = GlobalRouter::new(config.clone())
             .route_traced(
                 ds.design.circuit.clone(),
@@ -124,7 +123,7 @@ fn resume_equals_uninterrupted_across_threads_and_shards() {
         // Byte-identical observables on both sides of the interruption.
         assert_eq!(
             sliced_events, full_events,
-            "event stream diverged at threads={threads} shards={shards}"
+            "event stream diverged at threads={threads}"
         );
         assert_eq!(sliced.result.trees, full.result.trees);
         assert_eq!(sliced.result.channel_tracks, full.result.channel_tracks);
@@ -229,7 +228,7 @@ fn step_audit_counts_survive_interruption() {
     let ds = golden_instance();
     let config = RouterConfig {
         verify: bgr::router::VerifyLevel::Steps(16),
-        ..config(1, 1)
+        ..config(1)
     };
     let (_, trace) = GlobalRouter::new(config.clone())
         .route_traced(
