@@ -43,7 +43,7 @@
 //! [`SelectionStrategy::FullRescan`] — an executable oracle used by the
 //! differential tests to prove byte-identical deletion sequences.
 //!
-//! # Per-net scan state and parallel re-keying
+//! # Per-net scan state
 //!
 //! Each net carries a private [`NetScanState`]: the cache of *hypothetical
 //! wire states* (tentative-tree length assuming an edge's deletion,
@@ -52,15 +52,6 @@
 //! **and** the summed generations of the net's timing constraints — so
 //! density-only invalidations reuse it and skip the delay recomputation
 //! entirely).
-//!
-//! Because a champion scan touches only that per-net state plus the
-//! shared density map and timing analyzer immutably, re-keying a dirty
-//! batch fans out over [`crate::par::scoped_map`] when
-//! [`Engine::set_threads`] granted threads: the per-net states are
-//! taken out of the engine, scanned on scoped worker threads, and
-//! merged back — results and probe counters alike — in ascending net-id
-//! order, keeping every observable byte-identical to the sequential
-//! run (DESIGN.md §10).
 
 use std::collections::BTreeMap;
 
@@ -72,7 +63,6 @@ use crate::config::{CriteriaOrder, SelectionStrategy, VerifyLevel};
 use crate::criteria::{DelayCriteria, HypWire};
 use crate::density::DensityMap;
 use crate::graph::{REdgeKind, RoutingGraph};
-use crate::par;
 use crate::probe::{
     Corruption, Counter, Hist, NoopProbe, Phase, Probe, RekeyCause, RekeyCauses, Scope, TraceEvent,
 };
@@ -111,9 +101,8 @@ struct DelayMemo {
     slots: Vec<Option<DelayCriteria>>,
 }
 
-/// The mutable state one champion scan needs: everything per-net, so
-/// scans of distinct nets are data-disjoint and may run on worker
-/// threads (see the [module docs](self)).
+/// The mutable state one champion scan needs (see the
+/// [module docs](self)).
 #[derive(Debug, Default)]
 struct NetScanState {
     hyp: HypCache,
@@ -121,8 +110,7 @@ struct NetScanState {
 }
 
 /// Probe counters accumulated by one scan, flushed to the engine's
-/// probe after the (possibly parallel) batch — always in ascending
-/// net-id order, so totals are independent of the thread count.
+/// probe when the scan ends.
 #[derive(Debug, Default, Clone, Copy)]
 struct ScanCounters {
     key_evals: u64,
@@ -239,9 +227,8 @@ fn delay_for(
     d
 }
 
-/// Builds the full comparison key for a deletable edge of `net`. The
-/// free-function twin of [`Engine::edge_key`], callable from worker
-/// threads: everything mutable it needs is in `state` and `c`.
+/// Builds the full comparison key for a deletable edge of `net` (the
+/// body of [`Engine::edge_key`]).
 fn scan_edge_key(
     g: &RoutingGraph,
     density: &DensityMap,
@@ -298,7 +285,7 @@ fn scan_edge_key(
 
 /// `net`'s *champion*: the minimum key over its deletable edges, found
 /// with the strict-less linear scan shared by both selection
-/// strategies (and by every worker thread of a parallel batch).
+/// strategies.
 fn scan_champion(
     g: &RoutingGraph,
     density: &DensityMap,
@@ -465,11 +452,6 @@ fn derive_dirty<'a>(
     dirty.into_iter().collect()
 }
 
-/// Below this many champion scans per worker, a batch runs on the
-/// calling thread: a scoped spawn costs tens of microseconds, and a
-/// typical post-deletion dirty set is a handful of cheap scans.
-const MIN_TASKS_PER_THREAD: usize = 8;
-
 /// Outcome of one [`Engine::continue_deletion`] slice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeletionRun {
@@ -491,8 +473,7 @@ pub struct Engine<P: Probe = NoopProbe> {
     graphs: Vec<RoutingGraph>,
     density: DensityMap,
     sta: Sta,
-    /// Per-net scan state (hyp cache + delay memo); taken out and
-    /// restored around parallel batches.
+    /// Per-net scan state (hyp cache + delay memo).
     scan: Vec<NetScanState>,
     partner: Vec<Option<NetId>>,
     /// Static reverse index: per channel, every net owning at least one
@@ -503,8 +484,6 @@ pub struct Engine<P: Probe = NoopProbe> {
     /// conservative.
     channel_nets: Vec<Vec<(NetId, i32, i32)>>,
     selection: SelectionStrategy,
-    /// Worker threads for champion re-keying (1 = fully sequential).
-    threads: usize,
     /// Density spans touched during the current deletion (scratch,
     /// drained by the scoreboard loop).
     delta_spans: Vec<(ChannelId, i32, i32)>,
@@ -611,7 +590,6 @@ impl<P: Probe> Engine<P> {
             partner,
             channel_nets,
             selection: SelectionStrategy::default(),
-            threads: 1,
             delta_spans: Vec::new(),
             delta_cons: Vec::new(),
             delta_nets: Vec::new(),
@@ -668,16 +646,6 @@ impl<P: Probe> Engine<P> {
     /// deletion sequences; `FullRescan` is the testing oracle.
     pub fn set_selection(&mut self, selection: SelectionStrategy) {
         self.selection = selection;
-    }
-
-    /// Grants the scoreboard path `threads` worker threads for champion
-    /// re-keying. The default 1 is fully sequential, and every thread
-    /// count leaves every deterministic observable — selection log,
-    /// trees, trace-event stream — byte-identical (see the
-    /// [module docs](self) and DESIGN.md §10); only wall-clock and the
-    /// parallelism diagnostics counters move.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
     }
 
     /// Selects the self-audit level. `Steps` audits inside the deletion
@@ -820,7 +788,7 @@ impl<P: Probe> Engine<P> {
     /// slot where the current generation holds one, else a fresh
     /// [`HypKernel`] answer. Returns the number of edges compared — a
     /// function of the graph state alone, so it agrees across selection
-    /// strategies, threads and resumes even though cache contents do
+    /// strategies and resumes even though cache contents do
     /// not. Graphs are trees at phase boundaries, so only the mid-loop
     /// audits of [`VerifyLevel::Steps`] find edges to compare.
     fn audit_hyp_lengths(&self) -> u64 {
@@ -996,43 +964,17 @@ impl<P: Probe> Engine<P> {
     /// Runs the deletion loop over `scope` (all nets when `None`) until no
     /// in-scope non-bridge edge remains. Returns the number of selections.
     pub fn run_deletion(&mut self, scope: Option<&[NetId]>, order: CriteriaOrder) -> usize {
-        self.run_deletion_budgeted(scope, order, None)
-    }
-
-    /// [`Engine::run_deletion`] with a deterministic selection ceiling.
-    ///
-    /// When `budget` runs out before every in-scope graph is a tree, the
-    /// engine emits [`TraceEvent::BudgetExhausted`] (attributed to
-    /// [`Phase::InitialRouting`] — the only phase the router budgets
-    /// through this path) and switches to the fallback completion path:
-    /// per net in ascending id order, repeatedly delete the first alive
-    /// non-bridge edge until only bridges remain. The fallback skips all
-    /// key evaluation, so it is cheap, and it is a pure function of the
-    /// graph state at the stop point — which both selection strategies
-    /// reach identically — so the trace stream stays byte-identical
-    /// across strategies and threads. Every graph still ends a
-    /// spanning tree (the loop only terminates on all-bridges).
-    pub fn run_deletion_budgeted(
-        &mut self,
-        scope: Option<&[NetId]>,
-        order: CriteriaOrder,
-        budget: Option<u64>,
-    ) -> usize {
-        let run = self.continue_deletion(scope, order, 0, budget);
-        let selections = run.selections as usize;
-        match budget {
-            Some(b) if run.selections >= b => selections + self.fallback_complete(scope, b),
-            _ => selections,
-        }
+        self.continue_deletion(scope, order, 0, None).selections as usize
     }
 
     /// One *slice* of the deletion loop: picks up at global selection
     /// count `start` and runs until the in-scope candidate pool drains
     /// or the global count reaches `stop`.
     ///
-    /// This is the resumable core of [`Engine::run_deletion_budgeted`]
-    /// (which is `continue_deletion(scope, order, 0, budget)` plus the
-    /// fallback completion path). Because selection is memoryless — the
+    /// This is the resumable core of [`Engine::run_deletion`] (which is
+    /// `continue_deletion(scope, order, 0, None)`); a budgeted caller
+    /// follows a slice that hit the budget with
+    /// `fallback_complete`. Because selection is memoryless — the
     /// scoreboard is rebuilt from the current graph/density/timing state
     /// at every entry, and that state is a pure function of the alive
     /// masks — running the loop in slices produces exactly the
@@ -1058,6 +1000,16 @@ impl<P: Probe> Engine<P> {
     /// Post-budget completion: deletes first-deletable edges until every
     /// in-scope graph is a tree. Returns the number of fallback
     /// deletions; emits nothing when there was nothing left to do.
+    ///
+    /// Otherwise it emits [`TraceEvent::BudgetExhausted`] (attributed to
+    /// [`Phase::InitialRouting`] — the only phase the session budgets)
+    /// and then, per net in ascending id order, repeatedly deletes the
+    /// first alive non-bridge edge until only bridges remain. The
+    /// fallback skips all key evaluation, so it is cheap, and it is a
+    /// pure function of the graph state at the stop point — which both
+    /// selection strategies reach identically — so the trace stream
+    /// stays byte-identical across strategies. Every graph still ends a
+    /// spanning tree (the loop only terminates on all-bridges).
     pub(crate) fn fallback_complete(&mut self, scope: Option<&[NetId]>, steps_used: u64) -> usize {
         let nets: Vec<NetId> = match scope {
             Some(s) => s.to_vec(),
@@ -1194,65 +1146,13 @@ impl<P: Probe> Engine<P> {
         keys
     }
 
-    /// Raw keys of `nets` (ascending net ids, no duplicates), in input
-    /// order — the batch twin of [`Engine::raw_keys`], fanned out over
-    /// [`par::scoped_map`] when the batch is big enough for the granted
-    /// thread count to pay for its spawns.
-    ///
-    /// Every observable is independent of the fan-out: each scan reads
-    /// the shared density map / analyzer immutably and owns its net's
-    /// [`NetScanState`] (taken out of the engine, restored after the
-    /// join), results come back in input order, and per-scan probe
-    /// counters are flushed in that same order.
-    fn raw_keys_for(
-        &mut self,
-        nets: &[NetId],
-        order: CriteriaOrder,
-    ) -> Vec<Vec<(EdgeKey, Option<ChannelId>)>> {
-        let threads = self.threads.min(nets.len() / MIN_TASKS_PER_THREAD).max(1);
-        if threads <= 1 {
-            return nets.iter().map(|&n| self.raw_keys(n, order)).collect();
-        }
-        let mut tasks: Vec<(NetId, NetScanState)> = nets
-            .iter()
-            .map(|&n| (n, std::mem::take(&mut self.scan[n.index()])))
-            .collect();
-        let (graphs, density, sta) = (&self.graphs, &self.density, &self.sta);
-        let results = par::scoped_map(threads, &mut tasks, |(net, state)| {
-            let mut c = ScanCounters::default();
-            let keys = scan_raw_keys(
-                &graphs[net.index()],
-                density,
-                sta,
-                *net,
-                order,
-                state,
-                &mut c,
-            );
-            (keys, c)
-        });
-        for (net, state) in tasks {
-            self.scan[net.index()] = state;
-        }
-        if P::ENABLED {
-            self.probe.count(Counter::ParBatch, 1);
-            self.probe.count(Counter::ParTask, nets.len() as u64);
-        }
-        results
-            .into_iter()
-            .map(|(keys, c)| {
-                c.flush(&mut self.probe);
-                keys
-            })
-            .collect()
-    }
-
     /// Computes and pushes the raw keys of `nets` (ascending, deduped)
     /// into the scoreboard, bumping their generations first when
     /// `invalidate` (the re-key path; `false` only for the initial
     /// build, where generations are already fresh).
     fn rekey_nets(&mut self, sb: &mut Scoreboard, nets: &[NetId], invalidate: bool) {
-        let raw = self.raw_keys_for(nets, sb.order());
+        let order = sb.order();
+        let raw: Vec<_> = nets.iter().map(|&n| self.raw_keys(n, order)).collect();
         if P::ENABLED && invalidate {
             let fresh = raw.iter().map(Vec::len).sum::<usize>() as u64;
             self.probe.sample(Hist::MergeBatchSize, fresh);
@@ -1387,8 +1287,8 @@ impl<P: Probe> Engine<P> {
                 // its wall-clock lands under `rekey:<cause>`. Same nets,
                 // same order, same keys pushed — deterministic
                 // observables are untouched; only the batch-size
-                // diagnostics (MergeBatchSize, ParBatch) differ, which
-                // strategy-dependent counters are allowed to do.
+                // diagnostic (MergeBatchSize) differs, which
+                // strategy-dependent diagnostics are allowed to do.
                 self.probe.scope_enter(Scope::Rekey);
                 for &(net, cause) in &dirty {
                     self.probe.scope_enter(Scope::RekeyFor(cause));
@@ -1630,21 +1530,6 @@ mod tests {
             assert!(engine.selection_log.is_empty());
             let after: Vec<_> = engine.graphs().iter().map(|g| g.alive_mask()).collect();
             assert_eq!(masks, after, "{strategy:?} touched a graph");
-        }
-    }
-
-    #[test]
-    fn parallel_rekeying_matches_sequential_engine_byte_for_byte() {
-        let mut seq = engine_for_same_row();
-        let mut par = engine_for_same_row();
-        par.set_threads(8);
-        let s1 = seq.run_deletion(None, CriteriaOrder::DelayFirst);
-        let s2 = par.run_deletion(None, CriteriaOrder::DelayFirst);
-        assert_eq!(s1, s2);
-        assert_eq!(seq.selection_log, par.selection_log);
-        assert_eq!(seq.rekey_causes, par.rekey_causes);
-        for (gs, gp) in seq.graphs().iter().zip(par.graphs()) {
-            assert_eq!(gs.alive_mask(), gp.alive_mask());
         }
     }
 

@@ -3,11 +3,11 @@
 //! The router is a long sequence of heuristic decisions — ranked
 //! criterion comparisons (§3.3–§3.4), three rip-up phases (§4.2),
 //! feed-cell insertion (§4.3) — and every performance hypothesis about
-//! it (parallel re-keying, compose-at-pop scoreboards, tighter density
-//! invalidation) is an argument about *which* of those decisions
-//! dominate. This module defines the instrumentation contract that
-//! makes them measurable without giving up the engine's two core
-//! properties:
+//! it (compose-at-pop scoreboards, the hypothetical-length kernel,
+//! tighter density invalidation) is an argument about *which* of those
+//! decisions dominate. This module defines the instrumentation
+//! contract that makes them measurable without giving up the engine's
+//! two core properties:
 //!
 //! * **Zero cost when off.** [`Probe`] is statically dispatched and the
 //!   default [`NoopProbe`] has empty inline bodies plus
@@ -199,7 +199,7 @@ pub enum Scope {
     Rekey,
     /// Re-keying attributed to one [`RekeyCause`] — children of
     /// [`Scope::Rekey`] when per-cause attribution is enabled
-    /// (single-thread profiling runs).
+    /// (profiling runs).
     RekeyFor(RekeyCause),
     /// One guarded reroute attempt in an improvement phase.
     Reroute,
@@ -370,11 +370,6 @@ pub enum Counter {
     /// miss performs exactly one hypothetical-wire lookup, so
     /// `delay_memo_misses == hyp_cache_hits + hyp_cache_misses`.
     DelayMemoMiss,
-    /// Champion-scan tasks handed to the parallel executor (one per net
-    /// in a fanned-out batch).
-    ParTask,
-    /// Fan-out batches dispatched by the parallel executor.
-    ParBatch,
     /// Improvement-phase stops forced by the wall-clock deadline
     /// (`RouterConfig::deadline`). Inherently machine-dependent, which
     /// is exactly why deadline firings are a counter and not a
@@ -394,7 +389,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (array dimension).
-    pub const COUNT: usize = 19;
+    pub const COUNT: usize = 17;
 
     /// Every counter, in declaration order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -411,8 +406,6 @@ impl Counter {
         Counter::HypCacheMiss,
         Counter::DelayMemoHit,
         Counter::DelayMemoMiss,
-        Counter::ParTask,
-        Counter::ParBatch,
         Counter::DeadlineStop,
         Counter::HypBaseHit,
         Counter::HypSubtree,
@@ -435,12 +428,10 @@ impl Counter {
             Counter::HypCacheMiss => 10,
             Counter::DelayMemoHit => 11,
             Counter::DelayMemoMiss => 12,
-            Counter::ParTask => 13,
-            Counter::ParBatch => 14,
-            Counter::DeadlineStop => 15,
-            Counter::HypBaseHit => 16,
-            Counter::HypSubtree => 17,
-            Counter::HypFallback => 18,
+            Counter::DeadlineStop => 13,
+            Counter::HypBaseHit => 14,
+            Counter::HypSubtree => 15,
+            Counter::HypFallback => 16,
         }
     }
 
@@ -460,8 +451,6 @@ impl Counter {
             Counter::HypCacheMiss => "hyp_cache_misses",
             Counter::DelayMemoHit => "delay_memo_hits",
             Counter::DelayMemoMiss => "delay_memo_misses",
-            Counter::ParTask => "par_tasks",
-            Counter::ParBatch => "par_batches",
             Counter::DeadlineStop => "deadline_stops",
             Counter::HypBaseHit => "hyp_base_hits",
             Counter::HypSubtree => "hyp_subtree",
@@ -478,7 +467,7 @@ pub enum Hist {
     /// Stale entries discarded per scoreboard selection pop.
     StalePopsPerSelection,
     /// Fresh champions merged back into the scoreboard per re-key batch
-    /// (the fan-in width of one deletion's parallel scan).
+    /// (the raw keys one deletion's dirty set pushes).
     MergeBatchSize,
 }
 

@@ -38,8 +38,7 @@
 //! offset 0; improvement phases run whole-phase per step). Hence the
 //! concatenation of per-slice deterministic event streams is
 //! byte-identical to the uninterrupted stream — the golden-trace
-//! resume harness (`tests/session_resume.rs`) proves it across
-//! thread counts.
+//! resume harness (`tests/session_resume.rs`) proves it.
 
 use std::time::{Duration, Instant};
 
@@ -60,7 +59,7 @@ use crate::router::Routed;
 
 /// Version tag of [`EngineSnapshot`] (and its serialized checkpoint
 /// form in `bgr-io`). Bump on any change to the captured state set.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Where a session stands in the routing pipeline. Checkpoint
 /// boundaries are exactly the values of this enum: mid-deletion-loop
@@ -348,7 +347,6 @@ impl<P: Probe> RouteSession<P> {
             probe,
         );
         engine.set_selection(config.selection);
-        engine.set_threads(config.threads);
         engine.set_verify(config.verify);
 
         Ok(Self {
@@ -504,7 +502,6 @@ impl<P: Probe> RouteSession<P> {
             probe,
         );
         engine.set_selection(config.selection);
-        engine.set_threads(config.threads);
         engine.set_verify(config.verify);
         Ok(Self {
             config,

@@ -119,8 +119,8 @@ pub fn externalize_design(
 ///
 /// Only deterministically safe knobs should differ between arms:
 /// `criteria_order` (changes future deletion decisions — the point of
-/// racing), `threads`/`selection` (proven observable-invariant),
-/// budgets and verify level. Changing
+/// racing), `selection` (proven observable-invariant), budgets and
+/// verify level. Changing
 /// `use_constraints` or the delay model mid-run re-interprets state the
 /// suspended session already computed and is rejected by nothing here —
 /// callers own that contract.
@@ -242,7 +242,6 @@ fn write_state(out: &mut String, snap: &EngineSnapshot) {
             SelectionStrategy::FullRescan => "full_rescan",
         }
     );
-    let _ = writeln!(out, "config threads {}", c.threads);
     let _ = writeln!(
         out,
         "config on_violation {}",
@@ -607,7 +606,6 @@ fn parse_checkpoint_inner(
         "full_rescan" => SelectionStrategy::FullRescan,
         other => return Err(cur.err(format!("unknown selection strategy {other:?}"))),
     };
-    config.threads = cur.usize_field("config threads")?;
     config.on_violation = match cur.field("config on_violation")? {
         "fail" => OnViolation::Fail,
         "best_effort" => OnViolation::BestEffort,
@@ -789,10 +787,7 @@ mod tests {
         let ds = golden_instance();
         let (circuit, placement, cons) = (ds.design.circuit, ds.placement, ds.design.constraints);
         let mut session = RouteSession::start(
-            RouterConfig {
-                threads: 1,
-                ..RouterConfig::default()
-            },
+            RouterConfig::default(),
             circuit,
             placement,
             cons,
@@ -925,7 +920,7 @@ mod tests {
     #[test]
     fn version_skew_is_a_parse_error() {
         let text = write_checkpoint(&sample_snapshot());
-        let skewed = text.replacen("bgr-checkpoint v2", "bgr-checkpoint v3", 1);
+        let skewed = text.replacen("bgr-checkpoint v3", "bgr-checkpoint v4", 1);
         assert_ne!(skewed, text);
         let err = parse_checkpoint(&skewed).unwrap_err();
         assert!(err.message.contains("version"), "{err}");

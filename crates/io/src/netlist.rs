@@ -31,15 +31,22 @@ use bgr_netlist::{
 
 use crate::error::ParseError;
 
+/// A parsed identifier, refused at its line when it holds a character
+/// the format reserves (see the module docs), which the writer could
+/// not emit back.
+fn parse_name(ln: usize, name: &str) -> Result<&str, ParseError> {
+    let reserved = |c: char| c.is_whitespace() || c == '.' || c == ':' || c == '#';
+    if name.is_empty() || name.chars().any(reserved) {
+        return Err(ParseError::new(
+            ln,
+            format!("identifier `{name}` contains characters the .bgrn format reserves"),
+        ));
+    }
+    Ok(name)
+}
+
 fn check_name(name: &str) -> &str {
-    assert!(
-        !name.is_empty()
-            && !name
-                .chars()
-                .any(|c| c.is_whitespace() || c == '.' || c == ':' || c == '#'),
-        "identifier `{name}` contains characters the .bgrn format reserves"
-    );
-    name
+    parse_name(0, name).unwrap_or_else(|e| panic!("{}", e.message))
 }
 
 fn access_str(a: AccessSide) -> &'static str {
@@ -232,7 +239,7 @@ pub fn parse_netlist(text: &str) -> Result<Circuit, ParseError> {
                 if t.len() < 8 {
                     return Err(ParseError::new(ln, "kind header too short"));
                 }
-                let name = t[1];
+                let name = parse_name(ln, t[1])?;
                 let opts = kv(&t[2..]);
                 let width = parse_u32(ln, opts.get("width").copied().unwrap_or("1"))?;
                 let tf = parse_f64(ln, opts.get("tf").copied().unwrap_or("0"))?;
@@ -246,7 +253,9 @@ pub fn parse_netlist(text: &str) -> Result<Circuit, ParseError> {
                 if let Some(f) = opts.get("feed") {
                     kb = kb.feed(parse_u32(ln, f)?);
                 }
-                // Body lines until `end`.
+                // Body lines until `end`; the line of each arc, so a bad
+                // one is reported where it was written.
+                let mut arc_lines = Vec::new();
                 loop {
                     let Some((bln, bt)) = lines.next_tokens() else {
                         return Err(ParseError::new(
@@ -263,7 +272,7 @@ pub fn parse_netlist(text: &str) -> Result<Circuit, ParseError> {
                             let opts = kv(&bt[2..]);
                             let cap = parse_f64(bln, opts.get("cap").copied().unwrap_or("0"))?;
                             let off = parse_u32(bln, opts.get("offset").copied().unwrap_or("0"))?;
-                            kb = kb.input(bt[1], cap, off);
+                            kb = kb.input(parse_name(bln, bt[1])?, cap, off);
                             if let Some(a) = opts.get("access") {
                                 kb = kb.access(parse_access(bln, a)?);
                             }
@@ -274,7 +283,7 @@ pub fn parse_netlist(text: &str) -> Result<Circuit, ParseError> {
                             }
                             let opts = kv(&bt[2..]);
                             let off = parse_u32(bln, opts.get("offset").copied().unwrap_or("0"))?;
-                            kb = kb.output(bt[1], off);
+                            kb = kb.output(parse_name(bln, bt[1])?, off);
                             if let Some(a) = opts.get("access") {
                                 kb = kb.access(parse_access(bln, a)?);
                             }
@@ -284,6 +293,7 @@ pub fn parse_netlist(text: &str) -> Result<Circuit, ParseError> {
                                 return Err(ParseError::new(bln, "arc takes `arc FROM TO T0`"));
                             }
                             kb = kb.arc(bt[1], bt[2], parse_f64(bln, bt[3])?);
+                            arc_lines.push(bln);
                         }
                         other => {
                             return Err(ParseError::new(
@@ -293,16 +303,20 @@ pub fn parse_netlist(text: &str) -> Result<Circuit, ParseError> {
                         }
                     }
                 }
-                library.add(kb.build());
+                let kind = kb
+                    .try_build()
+                    .map_err(|(i, msg)| ParseError::new(arc_lines[i], msg))?;
+                library.add(kind);
             }
             "pad" => {
                 let cb = builder.get_or_insert_with(|| CircuitBuilder::new(library.clone()));
                 if t.len() != 3 {
                     return Err(ParseError::new(ln, "pad takes `pad in|out NAME`"));
                 }
+                let name = parse_name(ln, t[2])?;
                 let id = match t[1] {
-                    "in" => cb.add_input_pad(t[2]),
-                    "out" => cb.add_output_pad(t[2]),
+                    "in" => cb.add_input_pad(name),
+                    "out" => cb.add_output_pad(name),
                     other => return Err(ParseError::new(ln, format!("unknown pad dir `{other}`"))),
                 };
                 if pads.insert(t[2].to_owned(), id).is_some() {
@@ -318,7 +332,7 @@ pub fn parse_netlist(text: &str) -> Result<Circuit, ParseError> {
                     .library()
                     .kind_by_name(t[2])
                     .ok_or_else(|| ParseError::new(ln, format!("unknown kind `{}`", t[2])))?;
-                let id = cb.add_cell(t[1], kind);
+                let id = cb.add_cell(parse_name(ln, t[1])?, kind);
                 if cells.insert(t[1].to_owned(), id).is_some() {
                     return Err(ParseError::new(ln, format!("duplicate cell `{}`", t[1])));
                 }
@@ -361,7 +375,7 @@ pub fn parse_netlist(text: &str) -> Result<Circuit, ParseError> {
                     sinks.push(resolve(ln, s, cb)?);
                 }
                 let id = cb
-                    .add_wide_net(t[1], driver, sinks, width)
+                    .add_wide_net(parse_name(ln, t[1])?, driver, sinks, width)
                     .map_err(|e| ParseError::new(ln, e.to_string()))?;
                 if nets.insert(t[1].to_owned(), id).is_some() {
                     return Err(ParseError::new(ln, format!("duplicate net `{}`", t[1])));
@@ -478,6 +492,38 @@ mod tests {
         let err = parse_netlist(text).unwrap_err();
         assert_eq!(err.line, 6);
         assert!(err.message.contains("NOPE"));
+    }
+
+    #[test]
+    fn bad_arcs_are_errors_at_the_arc_line() {
+        for (arc, want) in [
+            ("arc B Y 60", "unknown arc source B"),
+            ("arc A Z 60", "unknown arc target Z"),
+            ("arc Y A 60", "not an input pin"),
+        ] {
+            let text = format!(
+                "bgr-netlist v1\nkind INV width 3 tf 1 td 1\n  in A cap 1 offset 0 access both\n  arc A Y 60\n  {arc}\n  out Y offset 2\nend\n"
+            );
+            let err = parse_netlist(&text).unwrap_err();
+            assert_eq!(err.line, 5, "{arc}: {err}");
+            assert!(err.message.contains(want), "{arc}: {err}");
+        }
+    }
+
+    #[test]
+    fn reserved_characters_in_names_are_errors_at_their_line() {
+        let head = "bgr-netlist v1\nkind INV width 3 tf 1 td 1\n  in A cap 1 offset 0 access both\n  out Y offset 2\nend\n";
+        for (body, line) in [
+            ("pad in a:x\n", 6),
+            ("cell u.1 INV\n", 6),
+            ("pad in a\ncell u1 INV\nnet n:0 width 1 pad:a u1.A\n", 8),
+        ] {
+            let err = parse_netlist(&format!("{head}{body}")).unwrap_err();
+            assert_eq!(err.line, line, "{body}: {err}");
+            assert!(err.message.contains("reserves"), "{body}: {err}");
+        }
+        let err = parse_netlist("bgr-netlist v1\nkind I:V width 3 tf 1 td 1\nend\n").unwrap_err();
+        assert_eq!(err.line, 2, "{err}");
     }
 
     #[test]

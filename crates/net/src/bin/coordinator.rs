@@ -159,9 +159,9 @@ fn parse_args() -> Args {
 
 /// The arm configurations a `--portfolio N` race cycles through:
 /// different improvement-criteria orders are genuinely different
-/// strategies; repeats beyond the three orders vary only thread count,
-/// which the determinism invariant makes a guaranteed tie (won by the
-/// lower arm index).
+/// strategies; arms beyond the three orders repeat an earlier arm's
+/// configuration exactly, so each is a guaranteed tie (won by the lower
+/// arm index).
 fn arm_configs(n: u64) -> Vec<(String, bgr_core::RouterConfig)> {
     let orders = [
         CriteriaOrder::DelayFirst,
@@ -172,7 +172,6 @@ fn arm_configs(n: u64) -> Vec<(String, bgr_core::RouterConfig)> {
         .map(|i| {
             let config = bgr_core::RouterConfig {
                 criteria_order: orders[(i as usize) % orders.len()],
-                threads: 1 + (i as usize) / orders.len(),
                 ..bgr_core::RouterConfig::default()
             };
             (format!("arm{i}"), config)

@@ -274,35 +274,43 @@ impl CellKindBuilder {
     /// # Panics
     ///
     /// Panics if an arc references an unknown pin name or connects pins of
-    /// the wrong direction; kinds are static data, so this is a programming
-    /// error rather than a recoverable condition.
-    pub fn build(mut self) -> CellKind {
-        for (from, to, t0) in std::mem::take(&mut self.pending_arcs) {
+    /// the wrong direction; library kinds are static data, so this is a
+    /// programming error rather than a recoverable condition. Kinds read
+    /// from untrusted text go through [`CellKindBuilder::try_build`].
+    pub fn build(self) -> CellKind {
+        self.try_build().unwrap_or_else(|(_, msg)| panic!("{msg}"))
+    }
+
+    /// Finishes the kind, or returns the insertion index of the first
+    /// arc whose pins are unknown or wrongly directed, with a message.
+    pub fn try_build(mut self) -> Result<CellKind, (usize, String)> {
+        for (i, (from, to, t0)) in std::mem::take(&mut self.pending_arcs)
+            .into_iter()
+            .enumerate()
+        {
+            let name = &self.kind.name;
+            let bad = |msg: String| (i, format!("kind {name}: {msg}"));
             let fi = self
                 .kind
                 .pin(&from)
-                .unwrap_or_else(|| panic!("kind {}: unknown arc source {from}", self.kind.name));
+                .ok_or_else(|| bad(format!("unknown arc source {from}")))?;
             let ti = self
                 .kind
                 .pin(&to)
-                .unwrap_or_else(|| panic!("kind {}: unknown arc target {to}", self.kind.name));
-            assert_eq!(
-                self.kind.terms[fi].dir,
-                TermDir::Input,
-                "arc source must be an input pin"
-            );
-            assert_eq!(
-                self.kind.terms[ti].dir,
-                TermDir::Output,
-                "arc target must be an output pin"
-            );
+                .ok_or_else(|| bad(format!("unknown arc target {to}")))?;
+            if self.kind.terms[fi].dir != TermDir::Input {
+                return Err(bad(format!("arc source {from} is not an input pin")));
+            }
+            if self.kind.terms[ti].dir != TermDir::Output {
+                return Err(bad(format!("arc target {to} is not an output pin")));
+            }
             self.kind.arcs.push(ArcSpec {
                 from: fi,
                 to: ti,
                 intrinsic_ps: t0,
             });
         }
-        self.kind
+        Ok(self.kind)
     }
 }
 
@@ -509,6 +517,24 @@ mod tests {
             .output("Y", 3)
             .arc("A", "Y", 50.0)
             .build();
+    }
+
+    #[test]
+    fn try_build_names_the_bad_arc() {
+        let builder = CellKind::builder("X", 4)
+            .input("A", 5.0, 0)
+            .output("Y", 3)
+            .arc("A", "Y", 50.0);
+        let (i, msg) = builder.clone().arc("Y", "A", 1.0).try_build().unwrap_err();
+        assert_eq!(i, 1);
+        assert!(msg.contains("not an input pin"), "{msg}");
+        let (i, msg) = builder.clone().arc("A", "Z", 1.0).try_build().unwrap_err();
+        assert_eq!(i, 1);
+        assert!(msg.contains("unknown arc target Z"), "{msg}");
+        let (i, msg) = builder.clone().arc("A", "A", 1.0).try_build().unwrap_err();
+        assert_eq!(i, 1);
+        assert!(msg.contains("not an output pin"), "{msg}");
+        assert_eq!(builder.try_build().unwrap().arcs().len(), 1);
     }
 
     #[test]

@@ -1496,7 +1496,7 @@ mod tests {
         assert_eq!(q.job(id).state(), SessionState::Suspended);
         assert!(q.job(id).is_cancelled());
         let checkpoint = q.job(id).checkpoint().unwrap().to_string();
-        assert!(checkpoint.starts_with("bgr-checkpoint v2"));
+        assert!(checkpoint.starts_with("bgr-checkpoint v3"));
         assert!(q.settled());
 
         q.reactivate(id);
@@ -1714,7 +1714,7 @@ mod tests {
         assert_eq!(q.job(id).state(), SessionState::Suspended);
         // Sabotage the checkpoint text between rounds.
         let garbled = q.jobs[id].checkpoint.take().unwrap().replacen(
-            "bgr-checkpoint v2",
+            "bgr-checkpoint v3",
             "bgr-checkpoint v9",
             1,
         );

@@ -63,10 +63,7 @@ fn parse_args() -> Args {
     let mut args = Args {
         jobs: 4,
         quota: Some(8),
-        threads: std::env::var("BGR_THREADS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(4),
+        threads: 4,
         seed: 1,
         max_jobs: None,
         deadline_ms: None,

@@ -235,34 +235,6 @@ pub fn audit(
     AuditReport { verdicts }
 }
 
-/// [`audit`] with the six oracles fanned over `threads` workers via
-/// `bgr_core::par::scoped_map`.
-///
-/// The oracles are independent by design (zero shared mutable state —
-/// see the crate docs), so they parallelize trivially; `scoped_map`
-/// returns results in input order, so the merged report is identical
-/// to the sequential [`audit`]'s for any thread count — asserted by
-/// this crate's determinism test and cheap enough to rely on.
-pub fn audit_parallel(
-    threads: usize,
-    circuit: &Circuit,
-    placement: &Placement,
-    constraints: &[PathConstraint],
-    config: &RouterConfig,
-    result: &RoutingResult,
-) -> AuditReport {
-    let mut oracles: Vec<Invariant> = Invariant::ALL.to_vec();
-    let verdicts = bgr_core::par::scoped_map(threads, &mut oracles, |inv| match inv {
-        Invariant::Forest => forest_oracle(circuit, placement, result),
-        Invariant::Density => density_oracle(placement, result),
-        Invariant::Timing => timing_oracle(circuit, constraints, config, result),
-        Invariant::Constraints => constraints_oracle(circuit, constraints, config, result),
-        Invariant::Feedthrough => feedthrough_oracle(circuit, placement, result),
-        Invariant::DiffPair => diff_pair_oracle(circuit, result),
-    });
-    AuditReport { verdicts }
-}
-
 fn fail(
     invariant: Invariant,
     net: Option<NetId>,
@@ -985,27 +957,6 @@ mod tests {
             config,
             routed.result,
         )
-    }
-
-    #[test]
-    fn parallel_audit_is_deterministic_and_matches_sequential() {
-        let (circuit, placement, cons, config, result) = route_tiny();
-        let sequential = audit(&circuit, &placement, &cons, &config, &result);
-        for threads in [1, 2, 8] {
-            let parallel = audit_parallel(threads, &circuit, &placement, &cons, &config, &result);
-            assert_eq!(parallel, sequential, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_audit_localizes_failures_like_sequential() {
-        let (circuit, placement, cons, config, mut result) = route_tiny();
-        result.channel_tracks[0] += 1;
-        let sequential = audit(&circuit, &placement, &cons, &config, &result);
-        let parallel = audit_parallel(8, &circuit, &placement, &cons, &config, &result);
-        assert_eq!(parallel, sequential);
-        assert!(!parallel.is_clean());
-        assert!(parallel.verdict(Invariant::Density).failure.is_some());
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!   and mid-line byte cuts) → `ParseError`;
 //! - token corruption (garbled hex, non-numeric counts, wrong
 //!   keywords, bad mask characters) → `ParseError`;
-//! - version skew, including a v1 document with its retired
-//!   `config shards` line → `ParseError` naming the version;
+//! - version skew, including v1 and v2 documents with their retired
+//!   `config threads` / `config shards` lines → `ParseError` naming
+//!   the version;
 //! - a syntactically valid checkpoint whose alive-mask disconnects a
 //!   net → `RouteError::Checkpoint` at resume;
 //! - a `diff_pairs_locked` stat bump — parses and resumes cleanly, but
@@ -80,11 +81,11 @@ fn corrupted_tokens_are_parse_errors() {
     let text = mid_run_checkpoint();
     let cases: Vec<(String, &str)> = vec![
         (
-            text.replacen("bgr-checkpoint v2", "bgr-checkpoint v3", 1),
+            text.replacen("bgr-checkpoint v3", "bgr-checkpoint v4", 1),
             "version skew",
         ),
         (
-            text.replacen("bgr-checkpoint v2", "some other file", 1),
+            text.replacen("bgr-checkpoint v3", "some other file", 1),
             "foreign header",
         ),
         (text.replacen("stage", "stge", 1), "misspelled keyword"),
@@ -113,7 +114,7 @@ fn corrupted_tokens_are_parse_errors() {
 
 #[test]
 fn version_skew_error_names_the_version() {
-    let text = mid_run_checkpoint().replacen("bgr-checkpoint v2", "bgr-checkpoint v7", 1);
+    let text = mid_run_checkpoint().replacen("bgr-checkpoint v3", "bgr-checkpoint v7", 1);
     let err = parse_checkpoint(&text).expect_err("skewed version must not parse");
     assert!(
         err.to_string().contains("version"),
@@ -121,33 +122,46 @@ fn version_skew_error_names_the_version() {
     );
 }
 
-#[test]
-fn v1_document_is_rejected_by_version() {
-    // A v1 checkpoint: the v2 text with its header set back and the
-    // retired `config shards` line restored after `config threads`.
-    let mut v1 = String::new();
+/// The current text with its header set back to `v{version}` and the
+/// retired config lines `retired` restored after `config selection`.
+fn old_document(version: u32, retired: &[&str]) -> String {
+    let mut old = String::new();
     for line in mid_run_checkpoint().lines() {
-        v1.push_str(if line == "bgr-checkpoint v2" {
-            "bgr-checkpoint v1"
-        } else {
-            line
-        });
-        v1.push('\n');
-        if line.starts_with("config threads ") {
-            v1.push_str("config shards 4\n");
+        if line == "bgr-checkpoint v3" {
+            old.push_str(&format!("bgr-checkpoint v{version}\n"));
+            continue;
+        }
+        old.push_str(line);
+        old.push('\n');
+        if line.starts_with("config selection ") {
+            for r in retired {
+                old.push_str(r);
+                old.push('\n');
+            }
         }
     }
-    assert!(v1.starts_with("bgr-checkpoint v1\n"), "header not set back");
     assert!(
-        v1.contains("\nconfig shards 4\n"),
-        "shards line not restored"
+        old.starts_with(&format!("bgr-checkpoint v{version}\n")),
+        "header not set back"
     );
-    let err = parse_checkpoint(&v1).expect_err("a v1 checkpoint must not parse");
-    assert_eq!(err.line, 1, "rejected past the header: {err}");
-    assert!(
-        err.message.contains("version \"1\"") && err.message.contains("v2"),
-        "error does not name both versions: {err}"
-    );
+    for r in retired {
+        assert!(old.contains(&format!("\n{r}\n")), "{r:?} not restored");
+    }
+    old
+}
+
+#[test]
+fn v1_document_is_rejected_by_version() {
+    let v1 = old_document(1, &["config threads 1", "config shards 4"]);
+    let v2 = old_document(2, &["config threads 1"]);
+    for (version, text) in [(1, v1), (2, v2)] {
+        let err = parse_checkpoint(&text).expect_err("an old checkpoint must not parse");
+        assert_eq!(err.line, 1, "v{version} rejected past the header: {err}");
+        assert!(
+            err.message.contains(&format!("version \"{version}\"")) && err.message.contains("v3"),
+            "error does not name both versions: {err}"
+        );
+    }
 }
 
 #[test]

@@ -72,10 +72,7 @@ impl Tally {
 fn c1p1_constrained_route_matches_full_dijkstra_at_every_generation() {
     let ds = c1(PlacementStyle::EvenFeed);
     let mut session = RouteSession::start(
-        RouterConfig {
-            threads: 1,
-            ..RouterConfig::default()
-        },
+        RouterConfig::default(),
         ds.design.circuit.clone(),
         ds.placement.clone(),
         ds.design.constraints.clone(),

@@ -16,9 +16,7 @@
 //! - the routing result (trees, channel tracks) and its independent
 //!   `bgr::verify` audit on both endpoints.
 //!
-//! The harness runs under worker threads {1, 8} — the identity must
-//! survive any parallelism choice, and
-//! every suspension passes through the *serialized* checkpoint codec
+//! Every suspension passes through the *serialized* checkpoint codec
 //! (`write_checkpoint` → `parse_checkpoint`), not an in-memory
 //! snapshot. The golden instance's sliced run is additionally pinned
 //! against the checked-in `tests/golden/trace.jsonl`, and a
@@ -36,16 +34,7 @@ use bgr::router::{
     Budgets, CollectingProbe, GlobalRouter, RouteSession, Routed, RouterConfig, StepOutcome,
 };
 use bgr::timing::PathConstraint;
-use bgr::verify::audit_parallel;
-
-const THREADS: [usize; 2] = [1, 8];
-
-fn config(threads: usize) -> RouterConfig {
-    RouterConfig {
-        threads,
-        ..RouterConfig::default()
-    }
-}
+use bgr::verify::audit;
 
 /// Routes in `quota`-selection slices, round-tripping through the
 /// serialized checkpoint codec at **every** suspension. Returns the
@@ -96,69 +85,57 @@ fn sliced_route(
     (routed, events, hops)
 }
 
+/// The router runs on one thread with one candidate pool; the name
+/// keeps its `threads_and_shards` wording so the test id stays stable.
 #[test]
 fn resume_equals_uninterrupted_across_threads_and_shards() {
     let ds = golden_instance();
-    let mut event_streams: Vec<String> = Vec::new();
-    for threads in THREADS {
-        let config = config(threads);
-        let (full, trace) = GlobalRouter::new(config.clone())
-            .route_traced(
-                ds.design.circuit.clone(),
-                ds.placement.clone(),
-                ds.design.constraints.clone(),
-            )
-            .expect("full route succeeds");
-        let full_events = deterministic_event_lines(&write_trace_jsonl(&trace));
+    let config = RouterConfig::default();
+    let (full, trace) = GlobalRouter::new(config.clone())
+        .route_traced(
+            ds.design.circuit.clone(),
+            ds.placement.clone(),
+            ds.design.constraints.clone(),
+        )
+        .expect("full route succeeds");
+    let full_events = deterministic_event_lines(&write_trace_jsonl(&trace));
 
-        let (sliced, sliced_events, hops) = sliced_route(
-            &config,
-            &ds.design.circuit,
-            &ds.placement,
-            &ds.design.constraints,
-            3,
-        );
-        assert!(hops > 3, "quota 3 must force several resumes (got {hops})");
+    let (sliced, sliced_events, hops) = sliced_route(
+        &config,
+        &ds.design.circuit,
+        &ds.placement,
+        &ds.design.constraints,
+        3,
+    );
+    assert!(hops > 3, "quota 3 must force several resumes (got {hops})");
 
-        // Byte-identical observables on both sides of the interruption.
-        assert_eq!(
-            sliced_events, full_events,
-            "event stream diverged at threads={threads}"
-        );
-        assert_eq!(sliced.result.trees, full.result.trees);
-        assert_eq!(sliced.result.channel_tracks, full.result.channel_tracks);
-        assert_eq!(
-            sliced.result.stats.selection_log,
-            full.result.stats.selection_log
-        );
-        assert_eq!(sliced.result.stats.deletions, full.result.stats.deletions);
+    // Byte-identical observables on both sides of the interruption.
+    assert_eq!(sliced_events, full_events, "event stream diverged");
+    assert_eq!(sliced.result.trees, full.result.trees);
+    assert_eq!(sliced.result.channel_tracks, full.result.channel_tracks);
+    assert_eq!(
+        sliced.result.stats.selection_log,
+        full.result.stats.selection_log
+    );
+    assert_eq!(sliced.result.stats.deletions, full.result.stats.deletions);
 
-        // Independent audit certifies both endpoints, identically.
-        let audit_full = audit_parallel(
-            threads,
-            &full.circuit,
-            &full.placement,
-            &ds.design.constraints,
-            &config,
-            &full.result,
-        );
-        let audit_sliced = audit_parallel(
-            threads,
-            &sliced.circuit,
-            &sliced.placement,
-            &ds.design.constraints,
-            &config,
-            &sliced.result,
-        );
-        assert!(audit_full.is_clean(), "{:?}", audit_full.first_failure());
-        assert_eq!(audit_full, audit_sliced);
-
-        event_streams.push(sliced_events);
-    }
-    // The whole matrix agrees on the deterministic stream.
-    for s in &event_streams[1..] {
-        assert_eq!(*s, event_streams[0], "matrix entries disagree");
-    }
+    // Independent audit certifies both endpoints, identically.
+    let audit_full = audit(
+        &full.circuit,
+        &full.placement,
+        &ds.design.constraints,
+        &config,
+        &full.result,
+    );
+    let audit_sliced = audit(
+        &sliced.circuit,
+        &sliced.placement,
+        &ds.design.constraints,
+        &config,
+        &sliced.result,
+    );
+    assert!(audit_full.is_clean(), "{:?}", audit_full.first_failure());
+    assert_eq!(audit_full, audit_sliced);
 }
 
 #[test]
@@ -228,7 +205,7 @@ fn step_audit_counts_survive_interruption() {
     let ds = golden_instance();
     let config = RouterConfig {
         verify: bgr::router::VerifyLevel::Steps(16),
-        ..config(1)
+        ..RouterConfig::default()
     };
     let (_, trace) = GlobalRouter::new(config.clone())
         .route_traced(
